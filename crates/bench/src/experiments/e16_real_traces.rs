@@ -13,7 +13,7 @@
 //!   file, its population and span discovered by a probing pass.
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use omn_contacts::synth::generate_pairwise;
 use omn_contacts::synth::presets::TracePreset;
@@ -29,7 +29,9 @@ use omn_traces::{
 
 use crate::experiments::default_config;
 use crate::scenario::{CampaignPlan, WorldSpec};
-use crate::{active_seeds, active_trace, banner, fmt_ci, per_seed, Table, TraceOverride, SEEDS};
+use crate::{
+    active_seeds, active_trace, banner, fmt_ci, per_seed, wall_hidden, Table, TraceOverride, SEEDS,
+};
 
 /// The schemes compared on every ingested trace.
 pub const SCHEMES: [SchemeChoice; 2] = [SchemeChoice::Hierarchical, SchemeChoice::Epidemic];
@@ -41,6 +43,8 @@ pub struct Params {
     pub trace: Option<TraceOverride>,
     /// Replication seeds.
     pub seeds: Vec<u64>,
+    /// Whether to print the wall-clock parse-throughput line.
+    pub show_wall: bool,
 }
 
 impl Params {
@@ -50,6 +54,7 @@ impl Params {
         Params {
             trace: active_trace(),
             seeds: active_seeds(),
+            show_wall: !wall_hidden(),
         }
     }
 
@@ -68,6 +73,7 @@ impl Params {
         Params {
             trace,
             seeds: plan.seeds().to_vec(),
+            show_wall: !plan.no_wall,
         }
     }
 }
@@ -170,12 +176,13 @@ pub fn run_plan(plan: &CampaignPlan) {
 pub fn run_with(params: &Params) {
     banner("E16", "real traces: ingestion, calibration, freshness");
     match &params.trace {
-        Some(over) => run_override(over, &params.seeds),
-        None => run_registry(&params.seeds),
+        Some(over) => run_override(over, params),
+        None => run_registry(params),
     }
 }
 
-fn run_registry(seeds: &[u64]) {
+fn run_registry(params: &Params) {
+    let seeds = &params.seeds;
     let specs = registry(&repo_root());
     if specs.is_empty() {
         println!(
@@ -194,7 +201,7 @@ fn run_registry(seeds: &[u64]) {
         let start = Instant::now();
         match spec.ingest() {
             Ok(ingested) => {
-                report_ingestion(&ingested, start.elapsed().as_secs_f64());
+                report_ingestion(&ingested, params.show_wall.then(|| start.elapsed()));
                 campaign(&ingested.trace, seeds);
             }
             Err(e) => println!("  ingest failed: {e}; skipping"),
@@ -202,7 +209,7 @@ fn run_registry(seeds: &[u64]) {
     }
 }
 
-fn run_override(over: &TraceOverride, seeds: &[u64]) {
+fn run_override(over: &TraceOverride, params: &Params) {
     let path = Path::new(&over.path);
     let format = resolve_format(path, over.format.as_deref()).unwrap_or_else(|msg| {
         eprintln!("error: {msg}");
@@ -225,14 +232,14 @@ fn run_override(over: &TraceOverride, seeds: &[u64]) {
     };
     let config = IngestConfig::new(found.nodes.max(2), span).policy(RecordPolicy::Lenient);
     let ingested = ingest_file(path, format, config).unwrap_or_else(|e| fail("ingest", &e));
-    report_ingestion(&ingested, start.elapsed().as_secs_f64());
-    campaign(&ingested.trace, seeds);
+    report_ingestion(&ingested, params.show_wall.then(|| start.elapsed()));
+    campaign(&ingested.trace, &params.seeds);
 }
 
 /// Prints the ingestion summary: volume, normalization counters, checksum,
-/// and parse throughput (wall-clock, so deliberately not part of any
-/// pinned golden).
-fn report_ingestion(ingested: &Ingested, wall: f64) {
+/// and — when `wall` is given — parse throughput (wall-clock, so `--no-wall`
+/// leaves it out).
+fn report_ingestion(ingested: &Ingested, wall: Option<Duration>) {
     let s = ingested.stats;
     println!(
         "  ingested: {} contacts from {} records ({} devices, span {:.2} days, {} bytes, \
@@ -255,8 +262,11 @@ fn report_ingestion(ingested: &Ingested, wall: f64) {
         s.past_span,
         s.clamped,
     );
-    let mb_s = ingested.bytes as f64 / 1e6 / wall.max(1e-9);
-    println!("  parse throughput: {mb_s:.1} MB/s ({wall:.4} s wall)");
+    if let Some(wall) = wall {
+        let wall = wall.as_secs_f64();
+        let mb_s = ingested.bytes as f64 / 1e6 / wall.max(1e-9);
+        println!("  parse throughput: {mb_s:.1} MB/s ({wall:.4} s wall)");
+    }
 }
 
 /// Fits the model, prints the calibration check, and runs the freshness

@@ -37,7 +37,7 @@ use omn_sim::{OracleMode, RngFactory, SimDuration};
 
 use crate::experiments::e15_scalability::scale_config;
 use crate::scenario::{CampaignPlan, PairwiseWorld, RunLeg, WorldSpec};
-use crate::{active_nodes, active_seeds, banner, Table};
+use crate::{active_nodes, active_seeds, banner, wall_hidden, Table};
 
 /// Node counts for the firehose throughput sweep (`--nodes` overrides).
 pub const THROUGHPUT_NODES: [usize; 3] = [1000, 3162, 10_000];
@@ -59,6 +59,8 @@ pub struct Params {
     pub nodes: Vec<usize>,
     /// Replication seeds of the lockstep leg.
     pub seeds: Vec<u64>,
+    /// Whether to print the firehose leg's wall-clock columns.
+    pub show_wall: bool,
 }
 
 impl Params {
@@ -79,6 +81,7 @@ impl Params {
             legs: vec![RunLeg::Lockstep, RunLeg::Firehose],
             nodes: active_nodes(&THROUGHPUT_NODES),
             seeds: active_seeds(),
+            show_wall: !wall_hidden(),
         }
     }
 
@@ -96,6 +99,7 @@ impl Params {
             legs: plan.legs_or(&legacy.legs),
             nodes: plan.axis_usize_or("nodes", &THROUGHPUT_NODES),
             seeds: plan.seeds().to_vec(),
+            show_wall: !plan.no_wall,
         }
     }
 }
@@ -348,15 +352,11 @@ fn run_lockstep_leg(params: &Params) {
 
 /// The firehose throughput leg.
 fn run_firehose_leg(params: &Params) {
-    let mut sweep = Table::new([
-        "nodes",
-        "contacts",
-        "births",
-        "msgs sent",
-        "msgs recv",
-        "wall s",
-        "msgs/s",
-    ]);
+    let mut headers = vec!["nodes", "contacts", "births", "msgs sent", "msgs recv"];
+    if params.show_wall {
+        headers.extend(["wall s", "msgs/s"]);
+    }
+    let mut sweep = Table::new(headers);
     for &nodes in &params.nodes {
         let start = Instant::now();
         let report = throughput_point(nodes, 11);
@@ -369,15 +369,18 @@ fn run_firehose_leg(params: &Params) {
             report.decode_errors, 0,
             "{nodes} nodes: frames failed to decode"
         );
-        sweep.row([
+        let mut row = vec![
             nodes.to_string(),
             report.contacts.to_string(),
             report.births.to_string(),
             report.messages_sent.to_string(),
             report.messages_received.to_string(),
-            format!("{wall:.1}"),
-            format!("{:.0}", report.msgs_per_sec()),
-        ]);
+        ];
+        if params.show_wall {
+            row.push(format!("{wall:.1}"));
+            row.push(format!("{:.0}", report.msgs_per_sec()));
+        }
+        sweep.row(row);
     }
     sweep.print();
     println!(
