@@ -5,7 +5,7 @@ use omn_contacts::TraceStats;
 use omn_sim::stats::mean_ci95;
 
 use crate::scenario::CampaignPlan;
-use crate::{active_seeds, banner, per_seed, Table};
+use crate::{banner, per_seed, Table};
 
 /// Parameters of E1: which presets to characterize, over which seeds.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,15 +17,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            presets: TracePreset::ALL.to_vec(),
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes.
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
@@ -34,11 +25,6 @@ impl Params {
             seeds: plan.seeds().to_vec(),
         }
     }
-}
-
-/// Runs E1 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
 }
 
 /// Runs E1 as described by a compiled scenario plan.

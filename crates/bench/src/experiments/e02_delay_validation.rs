@@ -12,6 +12,15 @@ use omn_sim::{RngFactory, SimDuration};
 use crate::scenario::{CampaignPlan, PairwiseWorld, WorldSpec};
 use crate::{banner, Table};
 
+/// The pairwise-exponential world of `specs/e02.scn`.
+const WORLD: PairwiseWorld = PairwiseWorld {
+    nodes: 40,
+    span_days: 8.0,
+    mean_interval_secs: 7200.0,
+    rate_shape: 1.5,
+    world_seed: 17,
+};
+
 /// Parameters of E2: the pairwise-exponential world and the validation
 /// sweep shape. No seed set — the analytical comparison uses one fixed
 /// world keyed by `world.world_seed`.
@@ -28,30 +37,13 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            world: PairwiseWorld {
-                nodes: 40,
-                span_days: 8.0,
-                mean_interval_secs: 7200.0,
-                rate_shape: 1.5,
-                world_seed: 17,
-            },
-            caching_nodes: 8,
-            refresh_hours: 12.0,
-            cdf_max_k: 12,
-        }
-    }
-
     /// The campaign a compiled scenario plan describes (the planner
     /// guarantees a pairwise world for `delay-validation`).
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
         let world = match &plan.spec.world {
             WorldSpec::Pairwise(w) => w.clone(),
-            _ => Params::legacy().world,
+            _ => WORLD,
         };
         Params {
             world,
@@ -60,11 +52,6 @@ impl Params {
             cdf_max_k: plan.scalar_usize_or("cdf-max-k", 12),
         }
     }
-}
-
-/// Runs E2 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
 }
 
 /// Runs E2 as described by a compiled scenario plan.

@@ -6,7 +6,7 @@ use omn_sim::RngFactory;
 
 use crate::experiments::{config_for, trace_for};
 use crate::scenario::CampaignPlan;
-use crate::{active_seeds, banner, per_seed, window_mean, Table};
+use crate::{banner, per_seed, window_mean, Table};
 
 const POINTS: usize = 12;
 
@@ -25,17 +25,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            presets: TracePreset::ALL.to_vec(),
-            schemes: SchemeChoice::ALL.to_vec(),
-            points: POINTS,
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes.
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
@@ -46,11 +35,6 @@ impl Params {
             seeds: plan.seeds().to_vec(),
         }
     }
-}
-
-/// Runs E3 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
 }
 
 /// Runs E3 as described by a compiled scenario plan.

@@ -14,7 +14,7 @@ use omn_sim::RngFactory;
 
 use crate::experiments::{config_for, trace_for};
 use crate::scenario::CampaignPlan;
-use crate::{active_seeds, banner, fmt_ci, per_seed, Table};
+use crate::{banner, fmt_ci, per_seed, Table};
 
 const REQUIREMENTS: [f64; 5] = [0.5, 0.6, 0.7, 0.8, 0.9];
 const MAX_RELAYS: usize = 16;
@@ -33,17 +33,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            preset: TracePreset::InfocomLike,
-            qs: REQUIREMENTS.to_vec(),
-            max_relays: MAX_RELAYS,
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes.
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
@@ -54,11 +43,6 @@ impl Params {
             seeds: plan.seeds().to_vec(),
         }
     }
-}
-
-/// Runs E4 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
 }
 
 /// Runs E4 as described by a compiled scenario plan.

@@ -8,7 +8,7 @@ use omn_sim::{RngFactory, SimDuration};
 
 use crate::experiments::{config_for, trace_for};
 use crate::scenario::CampaignPlan;
-use crate::{active_seeds, banner, fmt_ci, per_seed, Table};
+use crate::{banner, fmt_ci, per_seed, Table};
 
 const PERIODS_H: [f64; 5] = [2.0, 4.0, 8.0, 16.0, 32.0];
 const SCHEMES: [SchemeChoice; 4] = [
@@ -32,17 +32,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            preset: TracePreset::InfocomLike,
-            periods_h: PERIODS_H.to_vec(),
-            schemes: SCHEMES.to_vec(),
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes.
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
@@ -53,11 +42,6 @@ impl Params {
             seeds: plan.seeds().to_vec(),
         }
     }
-}
-
-/// Runs E5 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
 }
 
 /// Runs E5 as described by a compiled scenario plan.

@@ -7,7 +7,7 @@ use omn_sim::RngFactory;
 
 use crate::experiments::{config_for, trace_for};
 use crate::scenario::CampaignPlan;
-use crate::{active_seeds, banner, fmt_ci, fmt_ci_count, per_seed, Table};
+use crate::{banner, fmt_ci, fmt_ci_count, per_seed, Table};
 
 /// Parameters of E6: presets × schemes overhead comparison.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,16 +21,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            presets: TracePreset::ALL.to_vec(),
-            schemes: SchemeChoice::ALL.to_vec(),
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes.
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
@@ -40,11 +30,6 @@ impl Params {
             seeds: plan.seeds().to_vec(),
         }
     }
-}
-
-/// Runs E6 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
 }
 
 /// Runs E6 as described by a compiled scenario plan.

@@ -8,7 +8,7 @@ use omn_sim::RngFactory;
 
 use crate::experiments::{config_for, trace_for};
 use crate::scenario::CampaignPlan;
-use crate::{active_seeds, banner, fmt_ci, per_seed, Table};
+use crate::{banner, fmt_ci, per_seed, Table};
 
 const CACHING_NODES: [usize; 5] = [4, 8, 16, 24, 32];
 const SCHEMES: [SchemeChoice; 3] = [
@@ -31,17 +31,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            preset: TracePreset::InfocomLike,
-            caching_nodes: CACHING_NODES.to_vec(),
-            schemes: SCHEMES.to_vec(),
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes.
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
@@ -52,11 +41,6 @@ impl Params {
             seeds: plan.seeds().to_vec(),
         }
     }
-}
-
-/// Runs E7 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
 }
 
 /// Runs E7 as described by a compiled scenario plan.

@@ -14,7 +14,7 @@ use omn_sim::{RngFactory, SimDuration};
 
 use crate::experiments::{config_for, trace_for};
 use crate::scenario::CampaignPlan;
-use crate::{active_seeds, banner, fmt_ci, per_seed, Table};
+use crate::{banner, fmt_ci, per_seed, Table};
 
 const FANOUTS: [Option<usize>; 5] = [Some(1), Some(2), Some(3), Some(5), None];
 
@@ -32,16 +32,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            preset: TracePreset::InfocomLike,
-            fanouts: FANOUTS.to_vec(),
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes (axis value `0`
     /// means unbounded fanout).
     #[must_use]
@@ -62,11 +52,6 @@ impl Params {
             seeds: plan.seeds().to_vec(),
         }
     }
-}
-
-/// Runs E8 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
 }
 
 /// Runs E8 as described by a compiled scenario plan.

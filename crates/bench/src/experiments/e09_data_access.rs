@@ -13,7 +13,7 @@ use omn_sim::{RngFactory, SimDuration};
 
 use crate::experiments::{config_for, trace_for};
 use crate::scenario::CampaignPlan;
-use crate::{active_seeds, banner, fmt_ci, fmt_ci_count, per_seed, Table};
+use crate::{banner, fmt_ci, fmt_ci_count, per_seed, Table};
 
 const SCHEMES: [SchemeChoice; 4] = [
     SchemeChoice::Hierarchical,
@@ -42,20 +42,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            preset: TracePreset::InfocomLike,
-            schemes: SCHEMES.to_vec(),
-            catalog: 6,
-            load: 400,
-            loss: 0.2,
-            churn: 0.25,
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes.
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
@@ -115,11 +101,6 @@ fn caching_run(
     })
     .run_seeded(&trace, &catalog, &queries, &factory);
     (report, catalog, queries)
-}
-
-/// Runs E9 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
 }
 
 /// Runs E9 as described by a compiled scenario plan.

@@ -14,7 +14,7 @@ use omn_sim::{RngFactory, SimDuration};
 
 use crate::experiments::trace_for;
 use crate::scenario::CampaignPlan;
-use crate::{active_seeds, banner, fmt_ci, per_seed, Table};
+use crate::{banner, fmt_ci, per_seed, Table};
 
 /// Parameters of E10: the unicast workload and the fault columns.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,18 +32,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            presets: TracePreset::ALL.to_vec(),
-            messages: 200,
-            loss: 0.2,
-            churn: 0.25,
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes.
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
@@ -74,11 +62,6 @@ fn churn_faults(churn: f64) -> FaultConfig {
         }),
         ..FaultConfig::default()
     }
-}
-
-/// Runs E10 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
 }
 
 /// Runs E10 as described by a compiled scenario plan.

@@ -27,7 +27,7 @@ use omn_sim::{RngFactory, SimDuration, SimTime};
 
 use crate::experiments::{config_for, trace_for};
 use crate::scenario::CampaignPlan;
-use crate::{active_seeds, banner, fmt_ci, per_seed, window_mean, Table};
+use crate::{banner, fmt_ci, per_seed, window_mean, Table};
 
 const DEPART_FRACTIONS: [f64; 4] = [0.0, 0.1, 0.2, 0.4];
 
@@ -43,16 +43,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            preset: TracePreset::InfocomLike,
-            depart_fractions: DEPART_FRACTIONS.to_vec(),
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes.
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
@@ -118,11 +108,6 @@ fn maintained_scheme(
         planning: PlanningMode::Estimated,
         resilience,
     })
-}
-
-/// Runs E11 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
 }
 
 /// Runs E11 as described by a compiled scenario plan.

@@ -29,9 +29,7 @@ use omn_traces::{
 
 use crate::experiments::default_config;
 use crate::scenario::{CampaignPlan, WorldSpec};
-use crate::{
-    active_seeds, active_trace, banner, fmt_ci, per_seed, wall_hidden, Table, TraceOverride, SEEDS,
-};
+use crate::{banner, fmt_ci, per_seed, Table, TraceOverride, SEEDS};
 
 /// The schemes compared on every ingested trace.
 pub const SCHEMES: [SchemeChoice; 2] = [SchemeChoice::Hierarchical, SchemeChoice::Epidemic];
@@ -48,16 +46,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            trace: active_trace(),
-            seeds: active_seeds(),
-            show_wall: !wall_hidden(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes (a `[world]` of
     /// `kind = trace` selects one dataset file; `kind = registry` runs
     /// the built-in registry).
@@ -158,12 +146,6 @@ pub fn resolve_format(path: &Path, name: Option<&str>) -> Result<TraceFormat, St
             Err(e) => Err(format!("{}: {e}", path.display())),
         },
     }
-}
-
-/// Runs E16 with the legacy parameters (registry datasets by default, or
-/// the `--trace` override).
-pub fn run() {
-    run_with(&Params::legacy());
 }
 
 /// Runs E16 as described by a compiled scenario plan.

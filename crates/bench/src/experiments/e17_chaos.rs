@@ -34,7 +34,7 @@ use omn_sim::{OracleMode, OracleReport, RngFactory, SimDuration};
 
 use crate::experiments::{config_for, trace_for};
 use crate::scenario::{CampaignPlan, FaultRung, RetrySpec};
-use crate::{active_seeds, banner, fmt_ci, fmt_ci_count, per_seed, Table};
+use crate::{banner, fmt_ci, fmt_ci_count, per_seed, Table};
 
 /// The default chaos ladder, fault-free to extreme. The zero rung
 /// configures no fault at all (the plan is inert), so it doubles as the
@@ -72,20 +72,6 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            preset: TracePreset::InfocomLike,
-            ladder: default_ladder(),
-            retry: RetrySpec::Exponential {
-                attempts: 3,
-                base_hours: 1.0,
-            },
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes (an empty
     /// `[faults]` section falls back to the default ladder).
     #[must_use]
@@ -168,11 +154,6 @@ pub fn chaos_run(preset: TracePreset, seed: u64, rung: &FaultRung) -> FreshnessR
         rung,
         RetryPolicy::exponential(3, SimDuration::from_hours(1.0)),
     )
-}
-
-/// Runs E17 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
 }
 
 /// Runs E17 as described by a compiled scenario plan.

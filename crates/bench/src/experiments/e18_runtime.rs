@@ -37,14 +37,25 @@ use omn_sim::{OracleMode, RngFactory, SimDuration};
 
 use crate::experiments::e15_scalability::scale_config;
 use crate::scenario::{CampaignPlan, PairwiseWorld, RunLeg, WorldSpec};
-use crate::{active_nodes, active_seeds, banner, wall_hidden, Table};
+use crate::{banner, Table};
 
 /// Node counts for the firehose throughput sweep (`--nodes` overrides).
 pub const THROUGHPUT_NODES: [usize; 3] = [1000, 3162, 10_000];
 
-/// Cross-validation world: pairwise-exponential, comfortably larger than
-/// the tier-1 test world but still seconds per point in lockstep.
-const WORLD_NODES: usize = 32;
+/// Cross-validation world of `specs/e18.scn`: pairwise-exponential,
+/// comfortably larger than the tier-1 test world but still seconds per
+/// point in lockstep (`PairwiseConfig::new`'s shape 0.8 and 6-hour mean
+/// interval).
+pub const WORLD: PairwiseWorld = PairwiseWorld {
+    nodes: 32,
+    span_days: 2.0,
+    mean_interval_secs: 21_600.0,
+    rate_shape: 0.8,
+    world_seed: 0,
+};
+
+/// The legs run when the spec names none: lockstep, then firehose.
+const LEGS: [RunLeg; 2] = [RunLeg::Lockstep, RunLeg::Firehose];
 
 /// Parameters of E18: the cross-validation world and the two legs.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,39 +75,17 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            // PairwiseConfig::new defaults: shape 0.8, 6-hour mean
-            // interval. The spec must carry the same values to stay
-            // bit-identical.
-            world: PairwiseWorld {
-                nodes: WORLD_NODES,
-                span_days: 2.0,
-                mean_interval_secs: 21_600.0,
-                rate_shape: 0.8,
-                world_seed: 0,
-            },
-            legs: vec![RunLeg::Lockstep, RunLeg::Firehose],
-            nodes: active_nodes(&THROUGHPUT_NODES),
-            seeds: active_seeds(),
-            show_wall: !wall_hidden(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes (the planner
     /// guarantees a pairwise world for `runtime`).
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
-        let legacy = Params::legacy();
         let world = match &plan.spec.world {
             WorldSpec::Pairwise(w) => w.clone(),
-            _ => legacy.world,
+            _ => WORLD,
         };
         Params {
             world,
-            legs: plan.legs_or(&legacy.legs),
+            legs: plan.legs_or(&LEGS),
             nodes: plan.axis_usize_or("nodes", &THROUGHPUT_NODES),
             seeds: plan.seeds().to_vec(),
             show_wall: !plan.no_wall,
@@ -146,10 +135,10 @@ pub struct CrossPoint {
     pub rt: RuntimeReport,
 }
 
-/// Runs one cross-validation point on the legacy world.
+/// Runs one cross-validation point on [`WORLD`].
 #[must_use]
 pub fn cross_point(seed: u64, mode: ProtocolMode) -> CrossPoint {
-    cross_point_in(&Params::legacy().world, seed, mode)
+    cross_point_in(&WORLD, seed, mode)
 }
 
 /// Runs one cross-validation point. For [`ProtocolMode::HierTree`] the
@@ -261,11 +250,6 @@ pub fn throughput_point(nodes: usize, seed: u64) -> FirehoseReport {
         &members,
         &runtime_config(ProtocolMode::Epidemic),
     )
-}
-
-/// Runs E18 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
 }
 
 /// Runs E18 as described by a compiled scenario plan (`[run] legs`

@@ -27,7 +27,7 @@ use omn_sim::{LinkConfig, RngFactory, SimDuration};
 
 use crate::experiments::{config_for, trace_for};
 use crate::scenario::CampaignPlan;
-use crate::{active_seeds, banner, fmt_ci, fmt_ci_count, per_seed, Table};
+use crate::{banner, fmt_ci, fmt_ci_count, per_seed, Table};
 
 /// The bandwidth ladder, bytes/second; `0` is the unlimited sentinel.
 /// Tuned so the bottom rung starves both layers, the middle rungs bite,
@@ -83,48 +83,23 @@ pub struct Params {
 }
 
 impl Params {
-    /// The hand-written legacy campaign (`--legacy` / direct `run()`).
-    #[must_use]
-    pub fn legacy() -> Params {
-        Params {
-            preset: TracePreset::InfocomLike,
-            budget: BUDGET,
-            load: LOAD,
-            bandwidths: BANDWIDTHS.to_vec(),
-            refresh_bytes: REFRESH_BYTES,
-            queue_depth: QUEUE_DEPTH,
-            policy_capacity: POLICY_CAPACITY,
-            catalog: 6,
-            query_deadline_h: 12.0,
-            seeds: active_seeds(),
-        }
-    }
-
     /// The campaign a compiled scenario plan describes (the planner
     /// guarantees a [link] section with a bandwidth ladder).
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
-        let legacy = Params::legacy();
         let (bandwidths, refresh_bytes, queue_depth) = match plan.link() {
             Some(l) => (
                 l.bandwidth.clone(),
-                l.refresh_bytes.unwrap_or(legacy.refresh_bytes),
-                l.queue_depth.unwrap_or(legacy.queue_depth),
+                l.refresh_bytes.unwrap_or(REFRESH_BYTES),
+                l.queue_depth.unwrap_or(QUEUE_DEPTH),
             ),
-            None => (
-                legacy.bandwidths.clone(),
-                legacy.refresh_bytes,
-                legacy.queue_depth,
-            ),
+            None => (BANDWIDTHS.to_vec(), REFRESH_BYTES, QUEUE_DEPTH),
         };
-        let budget = plan
-            .contention()
-            .and_then(|c| c.budget)
-            .unwrap_or(legacy.budget);
+        let budget = plan.contention().and_then(|c| c.budget).unwrap_or(BUDGET);
         Params {
             preset: plan.preset_one(),
             budget,
-            load: plan.scalar_usize_or("load", legacy.load),
+            load: plan.scalar_usize_or("load", LOAD),
             bandwidths,
             refresh_bytes,
             queue_depth,
@@ -226,11 +201,6 @@ fn assert_slot_identity(with_link: &JointReport, slot_only: &JointReport, seed: 
         stats.enqueued_msgs, 0,
         "seed {seed}: an unlimited link queued a refresh frame"
     );
-}
-
-/// Runs E19 with the legacy parameters.
-pub fn run() {
-    run_with(&Params::legacy());
 }
 
 /// Runs E19 as described by a compiled scenario plan.

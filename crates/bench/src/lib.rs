@@ -1,9 +1,11 @@
 //! Experiment harness for the reproduced evaluation.
 //!
-//! Each experiment (E1–E19; see DESIGN.md for the index) lives in
-//! [`experiments`] as a library function that prints the corresponding
-//! table or figure series to stdout, and has a thin binary wrapper in
-//! `src/bin/`. `run_all` executes the full campaign.
+//! Each experiment (E1–E19; see DESIGN.md for the index) is a committed
+//! scenario spec under `specs/`, compiled by [`scenario`] and executed by
+//! the matching driver in [`experiments`], which prints the corresponding
+//! table or figure series to stdout. The `omn-scn` binary is the only
+//! entry point: `omn-scn run e06` runs one experiment, `omn-scn run all`
+//! the full campaign.
 //!
 //! Results are averaged over several seeds with normal-approximation 95%
 //! confidence intervals, printed as `mean ± hw`. Seed replications run in
@@ -20,9 +22,7 @@ mod runner;
 pub mod scenario;
 
 pub use runner::{
-    active_nodes, active_seeds, active_threads, active_trace, active_window_mins, cli_init,
-    cli_init_from, headline_requested, overrides, per_seed, serial_requested, usage, wall_hidden,
-    CliOverrides, TraceOverride,
+    cli_init_from, overrides, per_seed, serial_requested, usage, CliOverrides, TraceOverride,
 };
 
 use omn_sim::stats::mean_ci95;

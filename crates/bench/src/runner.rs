@@ -9,19 +9,16 @@
 //! floating-point folds happen on the caller's thread in a fixed order.
 //!
 //! Command-line control is consolidated in [`CliOverrides`], parsed **once
-//! per process** (binaries call [`cli_init`], which rejects unknown flags
+//! per process** (`omn-scn` calls [`cli_init_from`], which rejects unknown flags
 //! and malformed values with a one-line error plus usage on exit code 2;
 //! library consumers such as tests and benches fall back to a lenient
-//! parse that ignores harness flags). The flags (honored by `run_all` and
-//! every `exp_*` binary):
+//! parse that ignores harness flags). The scenario planner folds them into
+//! every compiled spec; flags other than `--seeds`, `--serial` and
+//! `--no-wall` apply only to the campaigns that read them. The flags
+//! (honored by `omn-scn`):
 //!
-//! * `--spec path` — compile and execute a scenario spec file instead of
-//!   the committed one embedded in the binary.
-//! * `--legacy` — run the hand-written experiment code path instead of
-//!   the scenario compiler (the CI spec-equivalence job byte-diffs the
-//!   two).
 //! * `--seeds 11,23,37` (or `--seeds=11,23,37`) — replace the default
-//!   [`SEEDS`] set.
+//!   [`SEEDS`](crate::SEEDS) set.
 //! * `--nodes 100,1000` (or `--nodes=100,1000`) — replace the node-count
 //!   sweep of experiments that scale with network size (E15, E18).
 //! * `--trace path` (or `--trace=path`) — run the real-trace experiment
@@ -37,14 +34,12 @@
 //! * `--window-mins m` (or `--window-mins=m`) — barrier window of the
 //!   parallel pipeline in simulated minutes (default: span/64).
 //! * `--no-wall` — hide wall-clock columns so two runs can be
-//!   byte-for-byte diffed (the CI determinism and spec-equivalence jobs).
+//!   byte-for-byte diffed (the CI determinism job, the spec goldens).
 //! * `--headline` — run the single large headline point instead of the
 //!   sweep (E15: 10⁶ nodes, one seed).
 
 use std::sync::OnceLock;
 use std::thread;
-
-use crate::SEEDS;
 
 /// Runs `f` once per seed — in parallel, one thread per seed — and returns
 /// the results in seed order.
@@ -92,12 +87,6 @@ pub struct TraceOverride {
 /// use the spec's (or the experiment's) value".
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CliOverrides {
-    /// `--spec path`: compile and execute this scenario file instead of
-    /// the spec embedded in the binary.
-    pub spec: Option<String>,
-    /// `--legacy`: run the hand-written experiment code path instead of
-    /// the scenario compiler.
-    pub legacy: bool,
     /// `--seeds a,b,c`: replacement seed set.
     pub seeds: Option<Vec<u64>>,
     /// `--nodes a,b,c`: replacement node-count sweep.
@@ -119,7 +108,7 @@ pub struct CliOverrides {
 /// One-line usage string printed with every flag error.
 #[must_use]
 pub fn usage() -> &'static str {
-    "usage: [--spec FILE] [--legacy] [--seeds A,B,C] [--nodes A,B,C] \
+    "usage: [--seeds A,B,C] [--nodes A,B,C] \
      [--serial] [--threads N] [--window-mins M] [--no-wall] [--headline] \
      [--trace FILE [--trace-format reality|haggle|omn-v1]]"
 }
@@ -156,11 +145,6 @@ impl CliOverrides {
                 }
             };
             let result: Result<(), String> = match flag.as_str() {
-                "--spec" => value("--spec").map(|v| over.spec = Some(v)),
-                "--legacy" => {
-                    over.legacy = true;
-                    Ok(())
-                }
                 "--seeds" => value("--seeds").and_then(|v| {
                     parse_list(&v, "--seeds").map(|list| {
                         if !list.is_empty() {
@@ -239,12 +223,6 @@ impl CliOverrides {
         }
         Ok(over)
     }
-
-    /// The resolved seed set: `--seeds` or the default [`SEEDS`].
-    #[must_use]
-    pub fn active_seeds(&self) -> Vec<u64> {
-        self.seeds.clone().unwrap_or_else(|| SEEDS.to_vec())
-    }
 }
 
 /// Parses a non-empty comma-separated list (empty input yields an empty
@@ -263,16 +241,10 @@ fn parse_list<T: std::str::FromStr>(input: &str, flag: &str) -> Result<Vec<T>, S
 
 static GLOBAL: OnceLock<CliOverrides> = OnceLock::new();
 
-/// Parses the process arguments strictly, stores the result as the
-/// process-wide override set, and returns it. Every binary calls this
-/// first; an unknown flag or malformed value prints a one-line error with
-/// usage and exits with code 2.
-pub fn cli_init() -> &'static CliOverrides {
-    cli_init_from(std::env::args().skip(1).collect())
-}
-
-/// [`cli_init`] over an explicit argument list (used by `omn-scn`, which
-/// strips its subcommand and positional paths first).
+/// Parses `args` strictly, stores the result as the process-wide override
+/// set, and returns it. `omn-scn` calls this with its flags (subcommand
+/// and positional paths stripped); an unknown flag or malformed value
+/// prints a one-line error with usage and exits with code 2.
 pub fn cli_init_from(args: Vec<String>) -> &'static CliOverrides {
     match CliOverrides::parse(args, true) {
         Ok(over) => GLOBAL.get_or_init(|| over),
@@ -283,7 +255,8 @@ pub fn cli_init_from(args: Vec<String>) -> &'static CliOverrides {
     }
 }
 
-/// The process-wide override set. Binaries populate it via [`cli_init`];
+/// The process-wide override set. `omn-scn` populates it via
+/// [`cli_init_from`];
 /// in any other host (tests, benches) the first call parses the process
 /// arguments leniently, so harness flags are ignored instead of fatal.
 #[must_use]
@@ -293,71 +266,16 @@ pub fn overrides() -> &'static CliOverrides {
     })
 }
 
-/// The seed set for this process: `--seeds a,b,c` from the command line,
-/// or the default [`SEEDS`].
-#[must_use]
-pub fn active_seeds() -> Vec<u64> {
-    overrides().active_seeds()
-}
-
-/// The node-count sweep for this process: `--nodes a,b,c` from the command
-/// line, or the experiment's `default` sweep.
-#[must_use]
-pub fn active_nodes(default: &[usize]) -> Vec<usize> {
-    overrides()
-        .nodes
-        .clone()
-        .unwrap_or_else(|| default.to_vec())
-}
-
 /// Whether `--serial` is on the command line.
 #[must_use]
 pub fn serial_requested() -> bool {
     overrides().serial
 }
 
-/// The merge-thread count for experiments with a parallel contact
-/// pipeline (E15): `--threads n`. 0 — the default — runs the classic
-/// serial source; `n ≥ 1` runs the window-barrier parallel source on `n`
-/// generator threads (bit-identical output either way).
-#[must_use]
-pub fn active_threads() -> usize {
-    overrides().threads.unwrap_or(0)
-}
-
-/// The barrier-window override for the parallel contact pipeline:
-/// `--window-mins m` (simulated minutes). `None` uses the source's
-/// default window; the choice batches differently but never changes the
-/// merged stream.
-#[must_use]
-pub fn active_window_mins() -> Option<f64> {
-    overrides().window_mins
-}
-
-/// Whether `--no-wall` is on the command line: hide wall-clock columns so
-/// two runs of the same sweep can be byte-for-byte diffed (the CI
-/// determinism job).
-#[must_use]
-pub fn wall_hidden() -> bool {
-    overrides().no_wall
-}
-
-/// Whether `--headline` is on the command line: run the single large
-/// headline point instead of the sweep.
-#[must_use]
-pub fn headline_requested() -> bool {
-    overrides().headline
-}
-
-/// The `--trace` / `--trace-format` override for this process, if any.
-#[must_use]
-pub fn active_trace() -> Option<TraceOverride> {
-    overrides().trace.clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SEEDS;
 
     fn strict(list: &[&str]) -> Result<CliOverrides, String> {
         CliOverrides::parse(list.iter().map(|s| (*s).to_owned()), true)
@@ -369,8 +287,8 @@ mod tests {
 
     #[test]
     fn default_seeds_without_flag() {
-        assert_eq!(ok(&[]).active_seeds(), SEEDS.to_vec());
-        assert_eq!(ok(&["--serial"]).active_seeds(), SEEDS.to_vec());
+        assert_eq!(ok(&[]).seeds, None);
+        assert_eq!(ok(&["--serial"]).seeds, None);
     }
 
     #[test]
@@ -382,7 +300,7 @@ mod tests {
 
     #[test]
     fn empty_seed_list_falls_back_to_default() {
-        assert_eq!(ok(&["--seeds="]).active_seeds(), SEEDS.to_vec());
+        assert_eq!(ok(&["--seeds="]).seeds, None);
     }
 
     #[test]
@@ -503,10 +421,11 @@ mod tests {
     }
 
     #[test]
-    fn spec_and_legacy_flags_parse() {
-        let over = ok(&["--spec", "specs/e03.scn", "--legacy"]);
-        assert_eq!(over.spec.as_deref(), Some("specs/e03.scn"));
-        assert!(over.legacy);
+    fn removed_spec_and_legacy_flags_are_unknown() {
+        for flag in ["--legacy", "--spec"] {
+            let err = strict(&[flag]).unwrap_err();
+            assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+        }
     }
 
     #[test]

@@ -1,17 +1,14 @@
 //! The scenario executor: dispatches a compiled [`CampaignPlan`] to the
-//! experiment driver of its campaign kind, and hosts the shared binary
-//! entry point ([`spec_main`]) every `exp_*` wrapper uses.
-
-use std::process::exit;
+//! experiment driver of its campaign kind.
 
 use crate::experiments as e;
-use crate::runner::{cli_init, CliOverrides};
+use crate::runner::CliOverrides;
 
 use super::plan::{compile, CampaignPlan};
 use super::spec::{parse, CampaignKind, ScenarioError};
 
-/// Every committed spec, embedded so the `exp_*` binaries run their
-/// scenario without touching the filesystem (`--spec FILE` overrides).
+/// Every committed spec, in campaign order, embedded so `omn-scn` runs
+/// them by name without touching the filesystem.
 pub const EMBEDDED: &[(&str, &str)] = &[
     ("e01", include_str!("../../../../specs/e01.scn")),
     ("e02", include_str!("../../../../specs/e02.scn")),
@@ -74,53 +71,5 @@ pub fn execute(plan: &CampaignPlan) {
         CampaignKind::Chaos => e::e17_chaos::run_plan(plan),
         CampaignKind::Runtime => e::e18_runtime::run_plan(plan),
         CampaignKind::Bandwidth => e::e19_bandwidth::run_plan(plan),
-    }
-}
-
-/// Compiles and runs one scenario from a spec file on disk.
-///
-/// # Errors
-///
-/// Returns the diagnostic, prefixed with the file path, when the file is
-/// unreadable or the spec does not compile.
-pub fn run_file(path: &str, overrides: &CliOverrides) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|err| format!("{path}: {err}"))?;
-    let plan = compile_str(&text, overrides).map_err(|err| format!("{path}: {err}"))?;
-    execute(&plan);
-    Ok(())
-}
-
-/// The shared entry point of every `exp_*` binary: parse the command line
-/// strictly (exit 2 on bad flags), then either run `legacy` (the
-/// hand-written code path, selected by `--legacy`) or compile and execute
-/// the scenario — from `--spec FILE` when given, else the committed spec
-/// embedded under `id`.
-///
-/// # Panics
-///
-/// Panics if `id` names no embedded spec (a harness bug, not user error).
-pub fn spec_main(id: &str, legacy: fn()) {
-    let overrides = cli_init();
-    if overrides.legacy {
-        legacy();
-        return;
-    }
-    match &overrides.spec {
-        Some(path) => {
-            if let Err(msg) = run_file(path, overrides) {
-                eprintln!("error: {msg}");
-                exit(1);
-            }
-        }
-        None => {
-            let text = embedded(id).unwrap_or_else(|| panic!("no embedded spec `{id}`"));
-            match compile_str(text, overrides) {
-                Ok(plan) => execute(&plan),
-                Err(err) => {
-                    eprintln!("error: specs/{id}.scn: {err}");
-                    exit(1);
-                }
-            }
-        }
     }
 }

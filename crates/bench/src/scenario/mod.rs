@@ -15,24 +15,23 @@
 //! 2. **planner** ([`plan`]) — [`compile`] validates the spec against its
 //!    campaign kind, folds in the process-wide
 //!    [`CliOverrides`](crate::CliOverrides) (precedence: CLI > spec >
-//!    driver default), and expands the matrix into a [`CampaignPlan`];
+//!    driver default; a campaign-scoped flag the campaign does not read
+//!    is an error), and expands the matrix into a [`CampaignPlan`];
 //! 3. **executor** ([`exec`]) — [`execute`] drives the existing
 //!    simulators (freshness / caching / joint / chaos / streaming) and
 //!    the [`per_seed`](crate::per_seed) runner off the plan.
 //!
-//! Every experiment's legacy constants and its committed spec are pinned
-//! equal by the `spec_equivalence` test suite, and the CI
-//! spec-equivalence job byte-diffs spec-driven and `--legacy` runs, so
-//! `exp_* ≡ omn-scn run specs/eNN.scn` holds bit-for-bit. A brand-new
-//! sweep — different seeds, axes, fault ladder, schemes — is a new spec
-//! file with zero new Rust.
+//! The committed specs are the experiments: `omn-scn run` is the only
+//! way to execute one, and the `spec_goldens` suite pins every spec's
+//! printed output. A brand-new sweep — different seeds, axes, fault
+//! ladder, schemes — is a new spec file with zero new Rust.
 
 pub mod exec;
 pub mod plan;
 pub mod spec;
 
-pub use exec::{compile_str, embedded, execute, run_file, spec_main, EMBEDDED};
-pub use plan::{compile, CampaignPlan, PlanPoint};
+pub use exec::{compile_str, embedded, execute, EMBEDDED};
+pub use plan::{compile, scope_overrides, CampaignPlan, PlanPoint};
 pub use spec::{
     parse, CampaignKind, ContentionSpec, FaultRung, LinkSpec, MatrixAxis, OutputSpec,
     PairwiseWorld, RetrySpec, RunLeg, RunSpec, ScenarioError, ScenarioSpec, TableFilter, WorldSpec,

@@ -81,6 +81,49 @@ fn allowed_axes(kind: CampaignKind) -> &'static [&'static str] {
     }
 }
 
+/// Every campaign-scoped override flag, the campaigns that read it, and
+/// whether `overrides` sets it. Any other campaign rejects the flag (a
+/// flag must not silently become a no-op); `--seeds`, `--serial` and
+/// `--no-wall` apply to every campaign.
+fn scoped_flags(overrides: &CliOverrides) -> [(&'static str, &'static [CampaignKind], bool); 5] {
+    use CampaignKind::{RealTraces, Runtime, Scalability};
+    [
+        (
+            "--nodes",
+            &[Scalability, Runtime],
+            overrides.nodes.is_some(),
+        ),
+        ("--threads", &[Scalability], overrides.threads.is_some()),
+        (
+            "--window-mins",
+            &[Scalability],
+            overrides.window_mins.is_some(),
+        ),
+        ("--headline", &[Scalability], overrides.headline),
+        ("--trace", &[RealTraces], overrides.trace.is_some()),
+    ]
+}
+
+/// `overrides` without the campaign-scoped flags `kind` does not read —
+/// what a multi-spec run hands each spec.
+#[must_use]
+pub fn scope_overrides(overrides: &CliOverrides, kind: CampaignKind) -> CliOverrides {
+    let flags = scoped_flags(overrides);
+    let reads = |flag: &str| {
+        flags
+            .iter()
+            .any(|(f, kinds, _)| *f == flag && kinds.contains(&kind))
+    };
+    CliOverrides {
+        nodes: overrides.nodes.clone().filter(|_| reads("--nodes")),
+        threads: overrides.threads.filter(|_| reads("--threads")),
+        window_mins: overrides.window_mins.filter(|_| reads("--window-mins")),
+        headline: overrides.headline && reads("--headline"),
+        trace: overrides.trace.clone().filter(|_| reads("--trace")),
+        ..overrides.clone()
+    }
+}
+
 fn plan_err(field: impl Into<String>, message: impl Into<String>) -> ScenarioError {
     ScenarioError {
         line: 0,
@@ -97,11 +140,25 @@ fn plan_err(field: impl Into<String>, message: impl Into<String>) -> ScenarioErr
 /// Returns a [`ScenarioError`] (field-positioned, line 0 — the text
 /// positions are gone after parsing) when the spec's world kind, fault
 /// ladder, contention section, or matrix axes don't fit the campaign, or
-/// when the matrix cross product explodes past the size cap.
+/// when the matrix cross product explodes past the size cap, or when
+/// `overrides` sets a campaign-scoped flag the campaign does not read.
 pub fn compile(
     spec: &ScenarioSpec,
     overrides: &CliOverrides,
 ) -> Result<CampaignPlan, ScenarioError> {
+    for (flag, kinds, set) in scoped_flags(overrides) {
+        if set && !kinds.contains(&spec.campaign) {
+            let readers: Vec<&str> = kinds.iter().map(|k| k.name()).collect();
+            return Err(plan_err(
+                flag,
+                format!(
+                    "campaign `{}` does not read {flag} (read by: {})",
+                    spec.campaign,
+                    readers.join(", ")
+                ),
+            ));
+        }
+    }
     let mut spec = spec.clone();
 
     // --- Override overlay (CLI > spec > driver default) ---------------
@@ -125,12 +182,10 @@ pub fn compile(
         }
     }
     if let Some(trace) = &overrides.trace {
-        if spec.campaign == CampaignKind::RealTraces {
-            spec.world = WorldSpec::TraceFile {
-                path: trace.path.clone(),
-                format: trace.format.clone(),
-            };
-        }
+        spec.world = WorldSpec::TraceFile {
+            path: trace.path.clone(),
+            format: trace.format.clone(),
+        };
     }
     spec.output.no_wall = spec.output.no_wall || overrides.no_wall;
 

@@ -2,8 +2,10 @@
 //! diagnostics on broken specs, planner validation, and the canonical
 //! parse → render → parse round-trip (pinned by a proptest).
 
-use omn_bench::scenario::{compile, parse, CampaignKind, ScenarioError, ScenarioSpec};
-use omn_bench::CliOverrides;
+use omn_bench::scenario::{
+    compile, parse, scope_overrides, CampaignKind, ScenarioError, ScenarioSpec, EMBEDDED,
+};
+use omn_bench::{CliOverrides, TraceOverride};
 use proptest::prelude::*;
 
 fn parse_err(text: &str) -> ScenarioError {
@@ -267,6 +269,113 @@ fn cli_seed_override_beats_the_spec() {
     };
     let plan = compile(&spec, &overridden).expect("compiles");
     assert_eq!(plan.seeds(), &[7, 9]);
+}
+
+/// Each campaign-scoped override set alone, with the flag it names.
+fn scoped_overrides() -> [(&'static str, CliOverrides); 5] {
+    let none = CliOverrides::default;
+    [
+        (
+            "--nodes",
+            CliOverrides {
+                nodes: Some(vec![100]),
+                ..none()
+            },
+        ),
+        (
+            "--threads",
+            CliOverrides {
+                threads: Some(3),
+                ..none()
+            },
+        ),
+        (
+            "--window-mins",
+            CliOverrides {
+                window_mins: Some(73.0),
+                ..none()
+            },
+        ),
+        (
+            "--headline",
+            CliOverrides {
+                headline: true,
+                ..none()
+            },
+        ),
+        (
+            "--trace",
+            CliOverrides {
+                trace: Some(TraceOverride {
+                    path: "tests/data/reality_excerpt.txt".to_owned(),
+                    format: None,
+                }),
+                ..none()
+            },
+        ),
+    ]
+}
+
+/// Which committed spec's campaign reads which campaign-scoped flag.
+fn reads(id: &str, flag: &str) -> bool {
+    matches!(
+        (id, flag),
+        (
+            "e15",
+            "--nodes" | "--threads" | "--window-mins" | "--headline"
+        ) | ("e18", "--nodes")
+            | ("e16", "--trace")
+    )
+}
+
+/// Regression: `--nodes` used to fail 17 of the 19 campaigns with
+/// `[matrix] nodes: unknown axis`, while `--threads`, `--window-mins`,
+/// `--trace` and `--headline` were silently ignored by campaigns that
+/// never read them. A campaign now compiles exactly the flags it reads
+/// and rejects the rest, naming the flag.
+#[test]
+fn campaign_scoped_flags_compile_only_where_read() {
+    for (id, text) in EMBEDDED {
+        let spec = parse(text).expect("committed spec parses");
+        for (flag, overrides) in scoped_overrides() {
+            let result = compile(&spec, &overrides);
+            if reads(id, flag) {
+                result.unwrap_or_else(|err| panic!("{id} {flag}: {err}"));
+            } else {
+                let err = result.expect_err(&format!("{id} must reject {flag}"));
+                assert_eq!(err.field, flag, "{id}");
+                assert!(err.message.contains("does not read"), "{id}: {err}");
+            }
+        }
+    }
+}
+
+/// Regression: scoping hands each campaign only the flags it reads, so
+/// one command line (`omn-scn run all --nodes 100 --threads 2 …`)
+/// compiles for every committed spec, and flags that apply everywhere
+/// survive the scoping.
+#[test]
+fn scoped_overrides_compile_for_every_spec() {
+    let all = CliOverrides {
+        seeds: Some(vec![11]),
+        nodes: Some(vec![100]),
+        threads: Some(2),
+        window_mins: Some(73.0),
+        no_wall: true,
+        headline: true,
+        trace: scoped_overrides()[4].1.trace.clone(),
+        ..CliOverrides::default()
+    };
+    for (id, text) in EMBEDDED {
+        let spec = parse(text).expect("committed spec parses");
+        let scoped = scope_overrides(&all, spec.campaign);
+        let plan = compile(&spec, &scoped).unwrap_or_else(|err| panic!("{id}: {err}"));
+        assert_eq!(plan.seeds(), &[11], "{id}");
+        assert!(plan.no_wall, "{id}");
+        assert_eq!(plan.threads, if *id == "e15" { 2 } else { 0 }, "{id}");
+        assert_eq!(plan.headline, *id == "e15", "{id}");
+        assert_eq!(plan.axis("nodes").is_some(), reads(id, "--nodes"), "{id}");
+    }
 }
 
 // --- parse → render → parse round-trip ---------------------------------

@@ -1,13 +1,9 @@
-//! Pins the committed scenario specs to the legacy hand-written
-//! campaigns: for every experiment, the `Params` compiled from
-//! `specs/eNN.scn` (under default CLI overrides) must equal the legacy
-//! constants — so `exp_eNN` and `omn-scn run specs/eNN.scn` describe the
-//! same campaign, and the byte-identity the CI spec-equivalence job
-//! checks is structural, not coincidental.
-//!
-//! The compiled plan summaries are additionally pinned as golden files
+//! Pins how the committed scenario specs compile: CLI overrides reach
+//! the experiment parameters through the plan, and the compiled plan
+//! summaries of every spec are pinned as one golden file
 //! (`tests/golden/plan_summaries.txt`); re-record after an intentional
-//! spec change with `OMN_BLESS_GOLDEN=1`.
+//! spec change with `OMN_BLESS_GOLDEN=1`. What the specs print when run
+//! is pinned by the `spec_goldens` suite.
 
 use std::path::PathBuf;
 
@@ -24,42 +20,6 @@ fn plan_for(id: &str) -> CampaignPlan {
     let spec = parse(text).unwrap_or_else(|err| panic!("specs/{id}.scn: {err}"));
     compile(&spec, &CliOverrides::default()).unwrap_or_else(|err| panic!("specs/{id}.scn: {err}"))
 }
-
-macro_rules! spec_matches_legacy {
-    ($test:ident, $id:literal, $module:ident) => {
-        #[test]
-        fn $test() {
-            let plan = plan_for($id);
-            assert_eq!(
-                e::$module::Params::from_plan(&plan),
-                e::$module::Params::legacy(),
-                "specs/{}.scn compiles to different parameters than the \
-                 legacy campaign",
-                $id
-            );
-        }
-    };
-}
-
-spec_matches_legacy!(e01_spec_matches_legacy, "e01", e01_trace_stats);
-spec_matches_legacy!(e02_spec_matches_legacy, "e02", e02_delay_validation);
-spec_matches_legacy!(e03_spec_matches_legacy, "e03", e03_freshness_time);
-spec_matches_legacy!(e04_spec_matches_legacy, "e04", e04_freshness_requirement);
-spec_matches_legacy!(e05_spec_matches_legacy, "e05", e05_refresh_period);
-spec_matches_legacy!(e06_spec_matches_legacy, "e06", e06_overhead);
-spec_matches_legacy!(e07_spec_matches_legacy, "e07", e07_caching_nodes);
-spec_matches_legacy!(e08_spec_matches_legacy, "e08", e08_ablation);
-spec_matches_legacy!(e09_spec_matches_legacy, "e09", e09_data_access);
-spec_matches_legacy!(e10_spec_matches_legacy, "e10", e10_routing_baselines);
-spec_matches_legacy!(e11_spec_matches_legacy, "e11", e11_robustness);
-spec_matches_legacy!(e12_spec_matches_legacy, "e12", e12_load_distribution);
-spec_matches_legacy!(e13_spec_matches_legacy, "e13", e13_fault_tolerance);
-spec_matches_legacy!(e14_spec_matches_legacy, "e14", e14_joint_world);
-spec_matches_legacy!(e15_spec_matches_legacy, "e15", e15_scalability);
-spec_matches_legacy!(e16_spec_matches_legacy, "e16", e16_real_traces);
-spec_matches_legacy!(e17_spec_matches_legacy, "e17", e17_chaos);
-spec_matches_legacy!(e18_spec_matches_legacy, "e18", e18_runtime);
-spec_matches_legacy!(e19_spec_matches_legacy, "e19", e19_bandwidth);
 
 /// CLI overrides thread through the plan into every experiment's params.
 #[test]
