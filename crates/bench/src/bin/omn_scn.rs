@@ -219,7 +219,6 @@ fn run(paths: &[String], flags: Vec<String>) {
 /// per-experiment timing summary; exits 1 if any experiment failed.
 fn run_campaign(specs: &[(&str, String)], overrides: &CliOverrides) {
     let mut timings: Vec<(String, f64, bool)> = Vec::new();
-    let mut failed: Vec<String> = Vec::new();
     for (arg, text) in specs {
         let id = label(arg);
         let start = Instant::now();
@@ -236,7 +235,6 @@ fn run_campaign(specs: &[(&str, String)], overrides: &CliOverrides) {
         };
         if let Some(msg) = &error {
             println!("\n!!! {id} FAILED after {secs:.1} s: {msg}");
-            failed.push(id.clone());
         }
         timings.push((id, secs, error.is_none()));
     }
@@ -248,6 +246,11 @@ fn run_campaign(specs: &[(&str, String)], overrides: &CliOverrides) {
             if *ok { "ok" } else { "FAILED" }
         );
     }
+    let failed: Vec<&str> = timings
+        .iter()
+        .filter(|(_, _, ok)| !ok)
+        .map(|(id, _, _)| id.as_str())
+        .collect();
     if !failed.is_empty() {
         println!(
             "\n{} experiment(s) failed: {}",

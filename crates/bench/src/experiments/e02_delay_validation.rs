@@ -12,15 +12,6 @@ use omn_sim::{RngFactory, SimDuration};
 use crate::scenario::{CampaignPlan, PairwiseWorld, WorldSpec};
 use crate::{banner, Table};
 
-/// The pairwise-exponential world of `specs/e02.scn`.
-const WORLD: PairwiseWorld = PairwiseWorld {
-    nodes: 40,
-    span_days: 8.0,
-    mean_interval_secs: 7200.0,
-    rate_shape: 1.5,
-    world_seed: 17,
-};
-
 /// Parameters of E2: the pairwise-exponential world and the validation
 /// sweep shape. No seed set — the analytical comparison uses one fixed
 /// world keyed by `world.world_seed`.
@@ -37,16 +28,19 @@ pub struct Params {
 }
 
 impl Params {
-    /// The campaign a compiled scenario plan describes (the planner
-    /// guarantees a pairwise world for `delay-validation`).
+    /// The campaign a compiled scenario plan describes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan's world is not pairwise, which `compile`
+    /// rejects for `delay-validation`.
     #[must_use]
     pub fn from_plan(plan: &CampaignPlan) -> Params {
-        let world = match &plan.spec.world {
-            WorldSpec::Pairwise(w) => w.clone(),
-            _ => WORLD,
+        let WorldSpec::Pairwise(world) = &plan.spec.world else {
+            unreachable!("the planner guarantees a pairwise world for delay-validation");
         };
         Params {
-            world,
+            world: world.clone(),
             caching_nodes: plan.scalar_usize_or("caching-nodes", 8),
             refresh_hours: plan.scalar_or("refresh-hours", 12.0),
             cdf_max_k: plan.scalar_usize_or("cdf-max-k", 12),
