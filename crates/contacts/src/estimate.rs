@@ -13,9 +13,9 @@
 //! [`PairRateTable`] maintains one estimator per node pair, which is the
 //! state each node carries in the distributed protocols.
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
+use omn_sim::hash::FastMap;
 use omn_sim::{SimDuration, SimTime};
 
 use crate::contact::NodeId;
@@ -192,33 +192,39 @@ pub enum EstimatorKind {
     Window(SimDuration),
 }
 
+/// One pair's estimator state, as a [`PairRateTable`] stores it.
+///
+/// A table holds one entry per pair ever seen (hundreds of thousands at
+/// 10⁴ nodes), so entries are kept to 16 bytes: a cumulative entry is just
+/// its count (every pair shares the table's observation start), and the
+/// larger, rarely used estimators are boxed.
 #[derive(Debug, Clone, PartialEq)]
 enum AnyEstimator {
-    Cumulative(CumulativeMle),
-    Ewma(EwmaRate),
-    Window(SlidingWindowRate),
+    Cumulative(u64),
+    Ewma(Box<EwmaRate>),
+    Window(Box<SlidingWindowRate>),
 }
 
 impl AnyEstimator {
-    fn new(kind: EstimatorKind, start: SimTime) -> AnyEstimator {
+    fn new(kind: EstimatorKind) -> AnyEstimator {
         match kind {
-            EstimatorKind::Cumulative => AnyEstimator::Cumulative(CumulativeMle::new(start)),
-            EstimatorKind::Ewma(alpha) => AnyEstimator::Ewma(EwmaRate::new(alpha)),
-            EstimatorKind::Window(w) => AnyEstimator::Window(SlidingWindowRate::new(w)),
+            EstimatorKind::Cumulative => AnyEstimator::Cumulative(0),
+            EstimatorKind::Ewma(alpha) => AnyEstimator::Ewma(Box::new(EwmaRate::new(alpha))),
+            EstimatorKind::Window(w) => AnyEstimator::Window(Box::new(SlidingWindowRate::new(w))),
         }
     }
 
     fn record(&mut self, t: SimTime) {
         match self {
-            AnyEstimator::Cumulative(e) => e.record_contact(t),
+            AnyEstimator::Cumulative(count) => *count += 1,
             AnyEstimator::Ewma(e) => e.record_contact(t),
             AnyEstimator::Window(e) => e.record_contact(t),
         }
     }
 
-    fn rate(&self, now: SimTime) -> f64 {
+    fn rate(&self, start: SimTime, now: SimTime) -> f64 {
         match self {
-            AnyEstimator::Cumulative(e) => e.rate(now),
+            &AnyEstimator::Cumulative(count) => CumulativeMle { start, count }.rate(now),
             AnyEstimator::Ewma(e) => e.rate(now),
             AnyEstimator::Window(e) => e.rate(now),
         }
@@ -245,7 +251,7 @@ impl AnyEstimator {
 pub struct PairRateTable {
     kind: EstimatorKind,
     start: SimTime,
-    pairs: HashMap<(NodeId, NodeId), AnyEstimator>,
+    pairs: FastMap<(NodeId, NodeId), AnyEstimator>,
 }
 
 impl PairRateTable {
@@ -256,7 +262,7 @@ impl PairRateTable {
         PairRateTable {
             kind,
             start,
-            pairs: HashMap::new(),
+            pairs: FastMap::default(),
         }
     }
 
@@ -276,10 +282,9 @@ impl PairRateTable {
     pub fn record_contact(&mut self, a: NodeId, b: NodeId, t: SimTime) {
         assert!(a != b, "PairRateTable::record_contact: self contact");
         let kind = self.kind;
-        let start = self.start;
         self.pairs
             .entry(PairRateTable::key(a, b))
-            .or_insert_with(|| AnyEstimator::new(kind, start))
+            .or_insert_with(|| AnyEstimator::new(kind))
             .record(t);
     }
 
@@ -288,7 +293,7 @@ impl PairRateTable {
     pub fn rate(&self, a: NodeId, b: NodeId, now: SimTime) -> f64 {
         self.pairs
             .get(&PairRateTable::key(a, b))
-            .map_or(0.0, |e| e.rate(now))
+            .map_or(0.0, |e| e.rate(self.start, now))
     }
 
     /// Number of pairs with at least one observed contact.
@@ -315,7 +320,7 @@ impl PairRateTable {
         let mut g = crate::ContactGraph::new(node_count);
         for (&(a, b), est) in &self.pairs {
             if a.index() < node_count && b.index() < node_count {
-                g.set_rate(a, b, est.rate(now));
+                g.set_rate(a, b, est.rate(self.start, now));
             }
         }
         g
@@ -421,6 +426,11 @@ mod tests {
         table.record_contact(NodeId(0), NodeId(1), t(0.0));
         table.record_contact(NodeId(0), NodeId(1), t(10.0));
         assert!((table.rate(NodeId(0), NodeId(1), t(10.0)) - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn table_entries_stay_compact() {
+        assert!(std::mem::size_of::<AnyEstimator>() <= 16);
     }
 
     #[test]

@@ -1,5 +1,10 @@
 //! Property-based tests for the contact-trace substrate.
 
+use std::collections::BTreeMap;
+
+use omn_contacts::estimate::{
+    CumulativeMle, EstimatorKind, EwmaRate, PairRateTable, RateEstimator, SlidingWindowRate,
+};
 use omn_contacts::io::{read_trace, write_trace};
 use omn_contacts::synth::{generate_pairwise, PairwiseConfig};
 use omn_contacts::{Contact, ContactGraph, NodeId, TimelineKind, TraceBuilder, TraceStats};
@@ -25,6 +30,71 @@ fn contact_strategy(n: u32) -> impl Strategy<Value = Contact> {
 }
 
 proptest! {
+    /// A `PairRateTable` of each estimator kind reports exactly what one
+    /// directly built estimator per pair reports: the same rates (bit for
+    /// bit, at probes before, inside and after the contacts), the same
+    /// number of observed pairs, and the same planning graph.
+    #[test]
+    fn pair_rate_table_matches_direct_estimators(
+        start in 0.0f64..100.0,
+        contacts in prop::collection::vec((0u32..6, 0u32..6, 0.0f64..50.0), 0..120),
+        alpha in 0.05f64..1.0,
+        window in 1.0f64..200.0,
+        probes in prop::collection::vec(0.0f64..3000.0, 1..6),
+    ) {
+        let start = SimTime::from_secs(start);
+        let kinds = [
+            EstimatorKind::Cumulative,
+            EstimatorKind::Ewma(alpha),
+            EstimatorKind::Window(SimDuration::from_secs(window)),
+        ];
+        for kind in kinds {
+            let mut table = PairRateTable::new(kind, start);
+            let mut reference: BTreeMap<(NodeId, NodeId), Box<dyn RateEstimator>> =
+                BTreeMap::new();
+            let mut t = start;
+            for &(a, b, gap) in &contacts {
+                t += SimDuration::from_secs(gap);
+                if a == b {
+                    continue;
+                }
+                let (a, b) = (NodeId(a), NodeId(b));
+                table.record_contact(a, b, t);
+                reference
+                    .entry((a.min(b), a.max(b)))
+                    .or_insert_with(|| -> Box<dyn RateEstimator> {
+                        match kind {
+                            EstimatorKind::Cumulative => Box::new(CumulativeMle::new(start)),
+                            EstimatorKind::Ewma(alpha) => Box::new(EwmaRate::new(alpha)),
+                            EstimatorKind::Window(w) => Box::new(SlidingWindowRate::new(w)),
+                        }
+                    })
+                    .record_contact(t);
+            }
+            prop_assert_eq!(table.observed_pairs(), reference.len());
+            for &probe in &probes {
+                let now = SimTime::from_secs(probe);
+                for a in 0..6 {
+                    for b in 0..6 {
+                        if a == b {
+                            continue;
+                        }
+                        let (a, b) = (NodeId(a), NodeId(b));
+                        let expected = reference
+                            .get(&(a.min(b), a.max(b)))
+                            .map_or(0.0, |e| e.rate(now));
+                        prop_assert_eq!(table.rate(a, b, now).to_bits(), expected.to_bits());
+                    }
+                }
+                let mut graph = ContactGraph::new(6);
+                for (&(a, b), e) in &reference {
+                    graph.set_rate(a, b, e.rate(now));
+                }
+                prop_assert_eq!(table.to_graph(6, now), graph);
+            }
+        }
+    }
+
     /// Traces built from arbitrary contacts are sorted and round-trip
     /// through the text format unchanged.
     #[test]

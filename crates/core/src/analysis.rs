@@ -15,9 +15,8 @@
 //! at each version birth, relays are pre-loaded by their parent), so small
 //! systematic gaps are expected and documented in EXPERIMENTS.md.
 
-use std::collections::HashMap;
-
 use omn_contacts::{ContactGraph, NodeId};
+use omn_sim::hash::FastMap;
 
 use crate::delay::DelayModel;
 use crate::freshness::FreshnessRequirement;
@@ -57,7 +56,7 @@ pub struct AnalysisSummary {
 #[must_use]
 pub fn node_delay_model(
     hierarchy: &RefreshHierarchy,
-    plans: &HashMap<(NodeId, NodeId), ReplicationPlan>,
+    plans: &FastMap<(NodeId, NodeId), ReplicationPlan>,
     graph: &ContactGraph,
     node: NodeId,
 ) -> DelayModel {
@@ -111,7 +110,7 @@ impl OverheadModel {
 #[must_use]
 pub fn overhead_model(
     hierarchy: &RefreshHierarchy,
-    plans: &HashMap<(NodeId, NodeId), ReplicationPlan>,
+    plans: &FastMap<(NodeId, NodeId), ReplicationPlan>,
 ) -> OverheadModel {
     OverheadModel {
         tree_transmissions: hierarchy.members().len() as f64,
@@ -123,7 +122,7 @@ pub fn overhead_model(
 #[must_use]
 pub fn analyze(
     hierarchy: &RefreshHierarchy,
-    plans: &HashMap<(NodeId, NodeId), ReplicationPlan>,
+    plans: &FastMap<(NodeId, NodeId), ReplicationPlan>,
     graph: &ContactGraph,
     period_secs: f64,
     requirement: FreshnessRequirement,
@@ -187,7 +186,7 @@ mod tests {
     fn unreplicated_chain_is_hypoexponential() {
         let g = line_graph();
         let h = build(&g);
-        let model = node_delay_model(&h, &HashMap::new(), &g, NodeId(2));
+        let model = node_delay_model(&h, &FastMap::default(), &g, NodeId(2));
         // Path 0→1→2: Hypo[0.01, 0.005].
         assert!((model.mean().unwrap() - (100.0 + 200.0)).abs() < 1e-9);
     }
@@ -198,7 +197,7 @@ mod tests {
         let h = build(&g);
         let req = FreshnessRequirement::new(0.9, SimDuration::from_secs(300.0));
         let plans = ReplicationPlanner::new(req, 2).plan_hierarchy(&h, &g);
-        let bare = node_delay_model(&h, &HashMap::new(), &g, NodeId(2));
+        let bare = node_delay_model(&h, &FastMap::default(), &g, NodeId(2));
         let replicated = node_delay_model(&h, &plans, &g, NodeId(2));
         for t in [100.0, 300.0, 600.0] {
             assert!(

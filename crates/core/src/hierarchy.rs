@@ -19,10 +19,10 @@
 //! * [`HierarchyStrategy::Random`] — random parent assignment under the
 //!   same fanout bound: the ablation for contact-awareness.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use omn_contacts::{ContactGraph, NodeId};
+use omn_sim::hash::FastMap;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -120,8 +120,8 @@ pub enum HierarchyStrategy {
 pub struct RefreshHierarchy {
     root: NodeId,
     members: Vec<NodeId>,
-    parent: HashMap<NodeId, NodeId>,
-    children: HashMap<NodeId, Vec<NodeId>>,
+    parent: FastMap<NodeId, NodeId>,
+    children: FastMap<NodeId, Vec<NodeId>>,
 }
 
 impl RefreshHierarchy {
@@ -191,7 +191,7 @@ impl RefreshHierarchy {
             assert!(f > 0, "zero fanout");
         }
         let mut h = RefreshHierarchy::empty(root, members.to_vec());
-        let mut delay: HashMap<NodeId, f64> = HashMap::from([(root, 0.0)]);
+        let mut delay: FastMap<NodeId, f64> = FastMap::from_iter([(root, 0.0)]);
         let mut in_tree: Vec<NodeId> = vec![root];
         let mut remaining: Vec<NodeId> = members.to_vec();
 
@@ -226,8 +226,8 @@ impl RefreshHierarchy {
         RefreshHierarchy {
             root,
             members,
-            parent: HashMap::new(),
-            children: HashMap::new(),
+            parent: FastMap::default(),
+            children: FastMap::default(),
         }
     }
 

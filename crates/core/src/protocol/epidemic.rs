@@ -1,8 +1,7 @@
 //! The epidemic baseline as a pure protocol core.
 
-use std::collections::HashMap;
-
 use omn_contacts::NodeId;
+use omn_sim::hash::FastMap;
 use omn_sim::SimTime;
 
 use super::env::ProtocolEnv;
@@ -19,7 +18,7 @@ use super::env::ProtocolEnv;
 pub struct EpidemicCore {
     /// Newest version carried by each non-member node, with the time it
     /// was acquired (for buffer-occupancy accounting).
-    carried: HashMap<NodeId, (u64, SimTime)>,
+    carried: FastMap<NodeId, (u64, SimTime)>,
 }
 
 impl EpidemicCore {

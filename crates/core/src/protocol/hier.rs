@@ -10,9 +10,8 @@
 //! adapter drives it from `SchemeCtx` with an identical call sequence, so
 //! the DES path is bit-identical to the historical in-place scheme.
 
-use std::collections::{HashMap, HashSet};
-
 use omn_contacts::{ContactGraph, NodeId};
+use omn_sim::hash::{FastMap, FastSet};
 use omn_sim::{split_mix64, SimDuration, SimTime};
 
 use crate::freshness::FreshnessRequirement;
@@ -196,7 +195,7 @@ impl Default for HierarchicalConfig {
 }
 
 /// A planned hierarchy with its per-edge replication plans.
-type PlannedStructure = (RefreshHierarchy, HashMap<(NodeId, NodeId), ReplicationPlan>);
+type PlannedStructure = (RefreshHierarchy, FastMap<(NodeId, NodeId), ReplicationPlan>);
 
 /// A relay copy of a version, owned by a non-caching relay node, destined
 /// for a specific child.
@@ -230,26 +229,26 @@ struct RelayCopy {
 pub struct HierarchicalCore {
     config: HierarchicalConfig,
     hierarchy: Option<RefreshHierarchy>,
-    plans: HashMap<(NodeId, NodeId), ReplicationPlan>,
-    relay_copies: HashMap<NodeId, Vec<RelayCopy>>,
+    plans: FastMap<(NodeId, NodeId), ReplicationPlan>,
+    relay_copies: FastMap<NodeId, Vec<RelayCopy>>,
     /// `(relay, target, version)` triples already handed out, so a relay is
     /// preloaded at most once per version per child even after its copy is
     /// delivered or garbage-collected.
-    handled: HashSet<(NodeId, NodeId, u64)>,
+    handled: FastSet<(NodeId, NodeId, u64)>,
     /// `(relay, target, version)` handoffs lost to transmission failure:
     /// how many attempts they have consumed (so retries stay bounded) and
     /// when the next attempt is allowed (retry backoff).
-    attempts: HashMap<(NodeId, NodeId, u64), (u32, SimTime)>,
+    attempts: FastMap<(NodeId, NodeId, u64), (u32, SimTime)>,
     /// Consecutive failed *direct* refresh deliveries per tree edge
     /// `(parent, child)`; feeds [`RetryPolicy::escalate_after`]. Reset on
     /// a successful delivery.
-    edge_failures: HashMap<(NodeId, NodeId), u32>,
+    edge_failures: FastMap<(NodeId, NodeId), u32>,
     /// When each tree edge `(parent, child)` last saw its endpoints meet;
     /// the failure detector's silence clock (resilience only).
-    edge_heard: HashMap<(NodeId, NodeId), SimTime>,
+    edge_heard: FastMap<(NodeId, NodeId), SimTime>,
     /// Standing suspicions `(watcher, watched)`, so each detected failure
     /// is counted once until the watched node is heard from again.
-    suspects: HashSet<(NodeId, NodeId)>,
+    suspects: FastSet<(NodeId, NodeId)>,
     next_rebuild: Option<SimTime>,
     /// Re-parenting improvement threshold: the new path delay must be below
     /// this fraction of the current one (hysteresis against flapping).
@@ -267,13 +266,13 @@ impl HierarchicalCore {
         HierarchicalCore {
             config,
             hierarchy: None,
-            plans: HashMap::new(),
-            relay_copies: HashMap::new(),
-            handled: HashSet::new(),
-            attempts: HashMap::new(),
-            edge_failures: HashMap::new(),
-            edge_heard: HashMap::new(),
-            suspects: HashSet::new(),
+            plans: FastMap::default(),
+            relay_copies: FastMap::default(),
+            handled: FastSet::default(),
+            attempts: FastMap::default(),
+            edge_failures: FastMap::default(),
+            edge_heard: FastMap::default(),
+            suspects: FastSet::default(),
             next_rebuild: None,
             reparent_factor: 0.7,
             fixed: None,
@@ -289,7 +288,7 @@ impl HierarchicalCore {
     pub fn with_fixed_plan(
         config: HierarchicalConfig,
         hierarchy: RefreshHierarchy,
-        plans: HashMap<(NodeId, NodeId), ReplicationPlan>,
+        plans: FastMap<(NodeId, NodeId), ReplicationPlan>,
     ) -> HierarchicalCore {
         let mut s = HierarchicalCore::new(config);
         s.fixed = Some((hierarchy, plans));
@@ -343,7 +342,7 @@ impl HierarchicalCore {
 
     /// The current replication plans, keyed by `(parent, child)`.
     #[must_use]
-    pub fn plans(&self) -> &HashMap<(NodeId, NodeId), ReplicationPlan> {
+    pub fn plans(&self) -> &FastMap<(NodeId, NodeId), ReplicationPlan> {
         &self.plans
     }
 
@@ -383,7 +382,7 @@ impl HierarchicalCore {
             self.plans = match self.config.replication {
                 Some(requirement) => ReplicationPlanner::new(requirement, self.config.max_relays)
                     .plan_hierarchy(&hierarchy, &graph),
-                None => HashMap::new(),
+                None => FastMap::default(),
             };
             self.hierarchy = Some(hierarchy);
         }

@@ -8,9 +8,8 @@
 //! proptest in `scheme`), and the async `omn-node` runtime must match it
 //! over real serialized messages (proven by the E18 campaign).
 
-use std::collections::HashMap;
-
 use omn_contacts::NodeId;
+use omn_sim::hash::FastMap;
 use omn_sim::metrics::Registry;
 use omn_sim::SimTime;
 
@@ -22,7 +21,7 @@ use super::node::{Effect, NodeProtocol, ProtocolMode, TimerKind};
 #[derive(Debug, Clone)]
 pub struct ReplayOutcome {
     /// Final cached version per member.
-    pub member_versions: HashMap<NodeId, u64>,
+    pub member_versions: FastMap<NodeId, u64>,
     /// Total transmissions (every [`Effect::Send`] charged to its
     /// sender).
     pub transmissions: u64,

@@ -18,9 +18,8 @@
 //! within total deadline `τ`. An edge shared by several members adopts its
 //! most stringent assignment (minimum deadline, maximum target).
 
-use std::collections::HashMap;
-
 use omn_contacts::{ContactGraph, NodeId};
+use omn_sim::hash::FastMap;
 use omn_sim::SimDuration;
 
 use crate::delay::DelayModel;
@@ -175,7 +174,7 @@ impl ReplicationPlanner {
         &self,
         hierarchy: &RefreshHierarchy,
         graph: &ContactGraph,
-    ) -> HashMap<(NodeId, NodeId), ReplicationPlan> {
+    ) -> FastMap<(NodeId, NodeId), ReplicationPlan> {
         let req = self.requirement;
         self.plan_hierarchy_per_member(hierarchy, graph, |_| req)
     }
@@ -192,7 +191,7 @@ impl ReplicationPlanner {
         hierarchy: &RefreshHierarchy,
         graph: &ContactGraph,
         requirement_of: F,
-    ) -> HashMap<(NodeId, NodeId), ReplicationPlan>
+    ) -> FastMap<(NodeId, NodeId), ReplicationPlan>
     where
         F: Fn(NodeId) -> FreshnessRequirement,
     {
@@ -202,7 +201,7 @@ impl ReplicationPlanner {
             .collect();
 
         // Most stringent (deadline, target) per edge over member paths.
-        let mut edge_req: HashMap<(NodeId, NodeId), (f64, f64)> = HashMap::new();
+        let mut edge_req: FastMap<(NodeId, NodeId), (f64, f64)> = FastMap::default();
         for &m in hierarchy.members() {
             let member_req = requirement_of(m);
             let tau = member_req.deadline.as_secs();

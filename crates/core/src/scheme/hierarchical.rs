@@ -7,9 +7,8 @@
 //! one core call per scheme callback, so the DES path is bit-identical to
 //! the historical in-place implementation.
 
-use std::collections::HashMap;
-
 use omn_contacts::NodeId;
+use omn_sim::hash::FastMap;
 
 use crate::hierarchy::RefreshHierarchy;
 use crate::protocol::HierarchicalCore;
@@ -53,7 +52,7 @@ impl HierarchicalScheme {
     pub fn with_fixed_plan(
         config: HierarchicalConfig,
         hierarchy: RefreshHierarchy,
-        plans: HashMap<(NodeId, NodeId), ReplicationPlan>,
+        plans: FastMap<(NodeId, NodeId), ReplicationPlan>,
     ) -> HierarchicalScheme {
         HierarchicalScheme {
             core: HierarchicalCore::with_fixed_plan(config, hierarchy, plans),
@@ -86,7 +85,7 @@ impl HierarchicalScheme {
 
     /// The current replication plans, keyed by `(parent, child)`.
     #[must_use]
-    pub fn plans(&self) -> &HashMap<(NodeId, NodeId), ReplicationPlan> {
+    pub fn plans(&self) -> &FastMap<(NodeId, NodeId), ReplicationPlan> {
         self.core.plans()
     }
 
@@ -692,7 +691,7 @@ mod tests {
                 ..HierarchicalConfig::default()
             },
             stale,
-            std::collections::HashMap::new(),
+            FastMap::default(),
         );
         s.on_start(&mut h.ctx());
         assert!(!s.hierarchy().unwrap().contains(NodeId(2)));
@@ -742,7 +741,7 @@ mod tests {
                 ..HierarchicalConfig::default()
             },
             tree,
-            std::collections::HashMap::new(),
+            FastMap::default(),
         );
         s.on_start(&mut h.ctx());
         h.now = SimTime::from_secs(100.0);

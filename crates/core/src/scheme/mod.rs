@@ -23,11 +23,10 @@ pub use hierarchical::{
 pub use crate::protocol::Delivery;
 use crate::protocol::ProtocolEnv;
 
-use std::collections::HashMap;
-
 use omn_contacts::estimate::PairRateTable;
 use omn_contacts::faults::FaultPlan;
 use omn_contacts::{ContactGraph, NodeId};
+use omn_sim::hash::FastMap;
 use omn_sim::metrics::Registry;
 use omn_sim::{
     ByteConsume, OracleMode, OracleObs, SimTime, SimWorld, TransferBudget, TxQueues, Violation,
@@ -88,8 +87,8 @@ pub struct SchemeCtx<'a> {
     pub(crate) current_version: u64,
     pub(crate) root: NodeId,
     pub(crate) members: &'a [NodeId],
-    pub(crate) member_versions: &'a mut HashMap<NodeId, u64>,
-    pub(crate) receipts: &'a mut HashMap<NodeId, Vec<(SimTime, u64)>>,
+    pub(crate) member_versions: &'a mut FastMap<NodeId, u64>,
+    pub(crate) receipts: &'a mut FastMap<NodeId, Vec<(SimTime, u64)>>,
     pub(crate) rates: &'a PairRateTable,
     pub(crate) oracle: &'a ContactGraph,
     pub(crate) transmissions: &'a mut u64,
@@ -570,8 +569,8 @@ pub(crate) mod testutil {
         pub current_version: u64,
         pub root: NodeId,
         pub members: Vec<NodeId>,
-        pub member_versions: HashMap<NodeId, u64>,
-        pub receipts: HashMap<NodeId, Vec<(SimTime, u64)>>,
+        pub member_versions: FastMap<NodeId, u64>,
+        pub receipts: FastMap<NodeId, Vec<(SimTime, u64)>>,
         pub rates: PairRateTable,
         pub oracle: ContactGraph,
         pub transmissions: u64,

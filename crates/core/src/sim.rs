@@ -25,13 +25,12 @@
 //! fixes the causal conventions the old hand-rolled loop encoded
 //! implicitly.
 
-use std::collections::HashMap;
-
 use omn_contacts::estimate::{EstimatorKind, PairRateTable};
 use omn_contacts::faults::{FaultConfig, FaultPlan};
 use omn_contacts::{
     Centrality, ContactDriver, ContactFate, ContactGraph, ContactSource, ContactTrace, NodeId,
 };
+use omn_sim::hash::FastMap;
 use omn_sim::metrics::{Registry, SampleHistogram, Timeline};
 use omn_sim::{
     Engine, EventClass, LinkStats, OracleMode, OracleObs, OracleReport, OracleSink, RngFactory,
@@ -721,8 +720,8 @@ pub struct FreshnessRun<'a> {
     oracle: &'a ContactGraph,
     rates: PairRateTable,
     rng: StdRng,
-    member_versions: HashMap<NodeId, u64>,
-    receipts: HashMap<NodeId, Vec<(SimTime, u64)>>,
+    member_versions: FastMap<NodeId, u64>,
+    receipts: FastMap<NodeId, Vec<(SimTime, u64)>>,
     transmissions: u64,
     replicas: u64,
     per_node_tx: Vec<u64>,
@@ -922,7 +921,7 @@ impl<'a> FreshnessRun<'a> {
 
     /// The cache version each member currently holds.
     #[must_use]
-    pub fn member_versions(&self) -> &HashMap<NodeId, u64> {
+    pub fn member_versions(&self) -> &FastMap<NodeId, u64> {
         &self.member_versions
     }
 

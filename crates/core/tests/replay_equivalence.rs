@@ -10,8 +10,6 @@
 //! serialization and scheduling on top (crates/node) and E18
 //! cross-validates it end to end.
 
-use std::collections::HashMap;
-
 use omn_contacts::synth::{generate_pairwise, PairwiseConfig};
 use omn_contacts::{ContactGraph, ContactSource, ContactTrace, NodeId, TraceSource};
 use omn_core::hierarchy::HierarchyStrategy;
@@ -19,6 +17,7 @@ use omn_core::protocol::{ProtocolMode, ReplayHarness, ReplayOutcome};
 use omn_core::scheme::{EpidemicRefresh, HierarchicalConfig, HierarchicalScheme, PlanningMode};
 use omn_core::sim::{FreshnessConfig, FreshnessReport, FreshnessSimulator};
 use omn_core::{RefreshHierarchy, UpdateSchedule};
+use omn_sim::hash::FastMap;
 use omn_sim::{OracleMode, RngFactory, SimDuration};
 use proptest::prelude::*;
 
@@ -86,7 +85,7 @@ fn replay(
 }
 
 fn assert_equivalent(out: &ReplayOutcome, report: &FreshnessReport) {
-    let des_versions: HashMap<NodeId, u64> = report.final_member_versions.iter().copied().collect();
+    let des_versions: FastMap<NodeId, u64> = report.final_member_versions.iter().copied().collect();
     assert_eq!(out.member_versions, des_versions);
     assert_eq!(out.transmissions, report.transmissions);
     assert_eq!(out.per_node_tx, report.per_node_transmissions);

@@ -18,6 +18,8 @@
 //!   installed on a [`SimWorld`] that either panic on the first violation
 //!   (strict mode, CI) or accumulate per-run violation counters (campaign
 //!   mode).
+//! * [`hash`] — [`hash::FastMap`] / [`hash::FastSet`], the fixed fast
+//!   hasher for the integer-keyed maps on per-event paths.
 //! * [`metrics`] — counters, time-weighted averages, sample histograms and
 //!   timelines for measuring simulations.
 //! * [`stats`] — summary statistics, empirical CDFs and confidence intervals
@@ -51,6 +53,7 @@
 
 mod budget;
 mod engine;
+pub mod hash;
 mod link;
 pub mod metrics;
 pub mod oracle;

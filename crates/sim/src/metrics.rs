@@ -343,8 +343,14 @@ impl Registry {
     }
 
     /// Adds `n` to the named counter, creating it if needed.
+    ///
+    /// Only the first touch of a name allocates its key.
     pub fn add(&mut self, name: &str, n: u64) {
-        self.counters.entry(name.to_owned()).or_default().add(n);
+        if let Some(counter) = self.counters.get_mut(name) {
+            counter.add(n);
+        } else {
+            self.counters.entry(name.to_owned()).or_default().add(n);
+        }
     }
 
     /// The value of the named counter, or zero if never touched.

@@ -2,21 +2,43 @@
 //!
 //! Events scheduled at equal times are delivered by ascending
 //! [`EventClass`], then in scheduling order (FIFO), which keeps simulations
-//! reproducible regardless of heap internals. Cancellation is O(1): the
-//! payload is removed immediately and the heap entry becomes a tombstone
-//! that is skipped lazily on pop.
+//! reproducible regardless of heap internals.
+//!
+//! Payloads live in a slab (a `Vec` of slots with a free list); the heap
+//! holds only `(time, class, seq, slot)` keys. Cancellation is O(1): the
+//! payload is taken out of its slot at once and the heap key becomes a
+//! tombstone, skipped lazily on pop. A slot returns to the free list only
+//! when its heap key pops, so a tombstone can never meet a new occupant.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
 /// A handle to a scheduled event, usable to cancel it.
 ///
-/// Handles are unique per [`EventQueue`] over its entire lifetime; a handle
-/// from one queue must not be used with another.
+/// A handle packs the event's slab slot with that slot's generation,
+/// which advances every time the slot is released. A handle to an event
+/// that has fired or been cancelled therefore stays stale: it matches no
+/// later event that reuses the slot (until that one slot has been reused
+/// 2³² times and its generation wraps). Handles from one queue must not
+/// be used with another.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventHandle(u64);
+
+impl EventHandle {
+    fn new(slot: u32, generation: u32) -> EventHandle {
+        EventHandle(u64::from(generation) << 32 | u64::from(slot))
+    }
+
+    fn slot(self) -> usize {
+        (self.0 & u64::from(u32::MAX)) as usize
+    }
+
+    fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+}
 
 /// A delivery-priority class for events that share a timestamp.
 ///
@@ -45,12 +67,22 @@ impl Default for EventClass {
 
 // Field order matters: derived Ord compares (time, class, seq)
 // lexicographically, giving time-ordered delivery with class priority and
-// FIFO tie-breaking at equal (time, class).
+// FIFO tie-breaking at equal (time, class). `seq` is unique, so `slot`
+// never takes part in the order.
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct HeapKey {
     time: SimTime,
     class: EventClass,
     seq: u64,
+    slot: u32,
+}
+
+/// One slab slot: the pending payload (`None` once cancelled, until the
+/// slot's heap key pops) and the generation live handles must carry.
+#[derive(Debug)]
+struct Slot<E> {
+    generation: u32,
+    payload: Option<E>,
 }
 
 /// A priority queue of timestamped events with O(1) cancellation and
@@ -71,7 +103,11 @@ struct HeapKey {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<HeapKey>>,
-    payloads: HashMap<u64, E>,
+    slots: Vec<Slot<E>>,
+    /// Released slots, reused last-in first-out.
+    free: Vec<u32>,
+    /// Live (scheduled, not yet fired or cancelled) events.
+    live: usize,
     next_seq: u64,
 }
 
@@ -87,7 +123,9 @@ impl<E> EventQueue<E> {
     pub fn new() -> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
-            payloads: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
             next_seq: 0,
         }
     }
@@ -101,31 +139,62 @@ impl<E> EventQueue<E> {
     /// Schedules `payload` at `time` in the given delivery class.
     ///
     /// At equal timestamps, events fire by ascending class, then FIFO.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than `u32::MAX` events are pending at once.
     pub fn schedule_with_class(
         &mut self,
         time: SimTime,
         class: EventClass,
         payload: E,
     ) -> EventHandle {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize].payload = Some(payload);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("EventQueue: slab full");
+                self.slots.push(Slot {
+                    generation: 0,
+                    payload: Some(payload),
+                });
+                slot
+            }
+        };
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(HeapKey { time, class, seq }));
-        self.payloads.insert(seq, payload);
-        EventHandle(seq)
+        self.heap.push(Reverse(HeapKey {
+            time,
+            class,
+            seq,
+            slot,
+        }));
+        self.live += 1;
+        EventHandle::new(slot, self.slots[slot as usize].generation)
     }
 
     /// Cancels a previously scheduled event, returning its payload if it was
     /// still pending. Cancelling an already-fired or already-cancelled event
-    /// returns `None`.
+    /// returns `None`, even after its slot was reused.
     pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
-        self.payloads.remove(&handle.0)
+        let slot = self.slots.get_mut(handle.slot())?;
+        if slot.generation != handle.generation() {
+            return None;
+        }
+        let payload = slot.payload.take()?;
+        self.live -= 1;
+        Some(payload)
     }
 
     /// True if `handle` refers to an event that has not yet fired or been
     /// cancelled.
     #[must_use]
     pub fn is_pending(&self, handle: EventHandle) -> bool {
-        self.payloads.contains_key(&handle.0)
+        self.slots
+            .get(handle.slot())
+            .is_some_and(|s| s.generation == handle.generation() && s.payload.is_some())
     }
 
     /// The timestamp of the next live event, if any.
@@ -137,39 +206,53 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the next live event as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.skip_tombstones();
-        let Reverse(key) = self.heap.pop()?;
-        let payload = self
-            .payloads
-            .remove(&key.seq)
-            .expect("tombstones were skipped, payload must exist");
-        Some((key.time, payload))
+        loop {
+            let Reverse(key) = self.heap.pop()?;
+            if let Some(payload) = self.release(key.slot) {
+                self.live -= 1;
+                return Some((key.time, payload));
+            }
+        }
     }
 
     /// Number of live (non-cancelled) events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.payloads.len()
+        self.live
     }
 
     /// True if there are no live events.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.payloads.is_empty()
+        self.live == 0
     }
 
-    /// Drops all pending events.
+    /// Drops all pending events. Their handles stay stale.
     pub fn clear(&mut self) {
-        self.heap.clear();
-        self.payloads.clear();
+        while let Some(Reverse(key)) = self.heap.pop() {
+            self.release(key.slot);
+        }
+        self.live = 0;
+    }
+
+    /// Frees `slot` after its heap key popped: takes whatever payload is
+    /// left (none for a tombstone) and advances the generation so every
+    /// handle to the slot's old occupant goes stale.
+    fn release(&mut self, slot: u32) -> Option<E> {
+        let s = &mut self.slots[slot as usize];
+        s.generation = s.generation.wrapping_add(1);
+        self.free.push(slot);
+        s.payload.take()
     }
 
     fn skip_tombstones(&mut self) {
         while let Some(Reverse(key)) = self.heap.peek() {
-            if self.payloads.contains_key(&key.seq) {
+            if self.slots[key.slot as usize].payload.is_some() {
                 break;
             }
+            let slot = key.slot;
             self.heap.pop();
+            self.release(slot);
         }
     }
 }
@@ -315,5 +398,48 @@ mod tests {
         q.schedule(t(0.5), "c");
         assert_eq!(q.pop(), Some((t(0.5), "b")));
         assert_eq!(q.pop(), Some((t(0.5), "c")));
+    }
+
+    #[test]
+    fn stale_handle_never_touches_the_slot_reuser() {
+        let mut q = EventQueue::new();
+        let fired = q.schedule(t(1.0), "a");
+        assert_eq!(q.pop(), Some((t(1.0), "a")));
+        // The slot is free again and the next event takes it.
+        let reuser = q.schedule(t(2.0), "b");
+        assert_eq!(reuser.slot(), fired.slot());
+        assert!(!q.is_pending(fired));
+        assert_eq!(q.cancel(fired), None);
+        assert!(q.is_pending(reuser));
+        assert_eq!(q.pop(), Some((t(2.0), "b")));
+    }
+
+    #[test]
+    fn cancelled_slot_is_freed_when_its_tombstone_pops() {
+        let mut q = EventQueue::new();
+        let h = q.schedule(t(1.0), "a");
+        assert_eq!(q.cancel(h), Some("a"));
+        // The tombstone still holds the slot, so a new event gets another.
+        let other = q.schedule(t(3.0), "c");
+        assert_ne!(other.slot(), h.slot());
+        assert_eq!(q.peek_time(), Some(t(3.0)));
+        let reuser = q.schedule(t(2.0), "b");
+        assert_eq!(reuser.slot(), h.slot());
+        assert_eq!(q.cancel(h), None);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((t(2.0), "b")));
+        assert_eq!(q.pop(), Some((t(3.0), "c")));
+    }
+
+    #[test]
+    fn clear_leaves_old_handles_stale() {
+        let mut q = EventQueue::new();
+        let h = q.schedule(t(1.0), 1);
+        q.clear();
+        let reuser = q.schedule(t(1.0), 2);
+        assert!(!q.is_pending(h));
+        assert_eq!(q.cancel(h), None);
+        assert!(q.is_pending(reuser));
+        assert_eq!(q.len(), 1);
     }
 }

@@ -2,7 +2,7 @@
 
 use omn_sim::metrics::{SampleHistogram, TimeWeightedMean};
 use omn_sim::stats::{mean_ci95, EmpiricalCdf, Summary, Welford};
-use omn_sim::{Engine, EventQueue, RngFactory, SimDuration, SimTime};
+use omn_sim::{Engine, EventClass, EventHandle, EventQueue, RngFactory, SimDuration, SimTime};
 use proptest::prelude::*;
 
 fn finite_positive() -> impl Strategy<Value = f64> {
@@ -54,6 +54,85 @@ proptest! {
         for (i, h) in handles.iter().enumerate() {
             prop_assert_eq!(seen.contains(&i), !cancelled.contains(h));
         }
+    }
+
+    /// Model check of the slab queue: random interleavings of schedule,
+    /// pop, peek, cancel and `is_pending` — cancels and probes drawn from
+    /// every handle ever issued, so fired and cancelled handles whose slot
+    /// was since reused are exercised too — against a reference list
+    /// ordered by `(time, class, seq)`.
+    #[test]
+    fn queue_matches_sorted_reference(
+        ops in prop::collection::vec((0u8..6, 0u8..8, 0u8..3, any::<u16>()), 1..300),
+    ) {
+        let mut q = EventQueue::new();
+        // Live reference events: ((time, class, seq), payload).
+        let mut model: Vec<((u8, u8, u64), u64)> = Vec::new();
+        // Every handle issued, with its payload and whether it is live.
+        let mut issued: Vec<(EventHandle, u64, bool)> = Vec::new();
+        let mut seq = 0u64;
+        for (op, time, class, pick) in ops {
+            match op {
+                // Scheduling is drawn twice as often as each other op.
+                0 | 1 => {
+                    let h = q.schedule_with_class(
+                        SimTime::from_secs(f64::from(time)),
+                        EventClass(class),
+                        seq,
+                    );
+                    model.push(((time, class, seq), seq));
+                    issued.push((h, seq, true));
+                    seq += 1;
+                }
+                2 => {
+                    model.sort_unstable();
+                    let expected = (!model.is_empty()).then(|| model.remove(0));
+                    let got = q.pop();
+                    prop_assert_eq!(
+                        got,
+                        expected.map(|((t, _, _), p)| (SimTime::from_secs(f64::from(t)), p))
+                    );
+                    if let Some((_, p)) = got {
+                        issued.iter_mut().find(|e| e.1 == p).expect("issued").2 = false;
+                    }
+                }
+                3 if !issued.is_empty() => {
+                    let i = usize::from(pick) % issued.len();
+                    let entry = &mut issued[i];
+                    let before = q.len();
+                    let got = q.cancel(entry.0);
+                    if entry.2 {
+                        prop_assert_eq!(got, Some(entry.1));
+                        entry.2 = false;
+                        let payload = entry.1;
+                        model.retain(|&(_, p)| p != payload);
+                    } else {
+                        // A fired or cancelled handle is stale: it must not
+                        // touch whichever event now occupies its slot.
+                        prop_assert_eq!(got, None);
+                        prop_assert_eq!(q.len(), before);
+                    }
+                }
+                4 if !issued.is_empty() => {
+                    let (h, _, live) = issued[usize::from(pick) % issued.len()];
+                    prop_assert_eq!(q.is_pending(h), live);
+                }
+                _ => {
+                    let min = model.iter().min().map(|&((t, _, _), _)| t);
+                    prop_assert_eq!(q.peek_time(), min.map(|t| SimTime::from_secs(f64::from(t))));
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+        }
+        for &(h, _, live) in &issued {
+            prop_assert_eq!(q.is_pending(h), live);
+        }
+        model.sort_unstable();
+        for ((t, _, _), p) in model {
+            prop_assert_eq!(q.pop(), Some((SimTime::from_secs(f64::from(t)), p)));
+        }
+        prop_assert_eq!(q.pop(), None);
+        prop_assert!(q.is_empty());
     }
 
     /// The engine clock never goes backwards and ends at the max event time.
