@@ -36,17 +36,18 @@
 //!   distributions composed from the hop models, and predicted freshness
 //!   `1 − E[min(D, T)]/T`, validated against simulation (experiment E2).
 //!
-//! * **Sans-io protocol core** ([`protocol`]): the scheme and its
-//!   epidemic baseline as pure, transport- and clock-agnostic state
-//!   machines — an env-generic global formulation driven by the DES, and
-//!   a per-node [`protocol::NodeProtocol`] (`on_contact_up / on_message /
-//!   on_timer → Vec<Effect>`) that the async `omn-node` runtime
-//!   instantiates once per node.
+//! * **Refresh schemes** ([`scheme`]): the paper's scheme and every
+//!   baseline the evaluation compares against — source-only refreshing,
+//!   epidemic flooding of updates, random hierarchies, and no refreshing
+//!   at all — behind one [`scheme::RefreshScheme`] trait. This is the
+//!   *global* formulation of the protocol: one state machine per scheme
+//!   that observes every contact, driven by the simulator.
 //!
-//! * **Baselines** ([`scheme`]): source-only refreshing, epidemic flooding
-//!   of updates, random hierarchies, and no refreshing at all — everything
-//!   the evaluation compares against, behind one [`scheme::RefreshScheme`]
-//!   trait. The schemes are thin DES adapters over the [`protocol`] cores.
+//! * **Per-node protocol** ([`protocol`]): the *per-node* formulation of
+//!   tree refreshing and epidemic flooding, a sans-io
+//!   [`protocol::NodeProtocol`] (`on_contact_up / on_message / on_timer →
+//!   Vec<Effect>`) that the async `omn-node` runtime instantiates once per
+//!   node.
 //!
 //! * **Simulator** ([`sim`]): a trace-driven simulator measuring cache
 //!   freshness over time, refresh delays, fresh-query ratios and overhead

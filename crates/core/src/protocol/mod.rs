@@ -1,30 +1,25 @@
-//! The sans-io protocol core: the paper's refresh protocol as pure state
-//! machines over injected time, randomness, and channel outcomes.
+//! The per-node formulation of the refresh protocol: one sans-io state
+//! machine per node, ready to run over a real transport.
 //!
-//! Two formulations, one protocol:
+//! The protocol exists in two formulations:
 //!
-//! * [`HierarchicalCore`] / [`EpidemicCore`] — the *global* formulation:
-//!   one state machine that observes every contact, generic over a
-//!   [`ProtocolEnv`]. The DES `scheme` adapters drive these from
-//!   `SchemeCtx` with a call sequence identical to the historical
-//!   in-place schemes, so every golden number is preserved bit-for-bit.
-//! * [`NodeProtocol`] — the *local* formulation: one instance per node,
-//!   `on_contact_up / on_message / on_timer → Vec<`[`Effect`]`>`, ready to
-//!   run over a real transport (the async `omn-node` runtime) or the
-//!   synchronous [`ReplayHarness`].
+//! * the *global* one in [`crate::scheme`]: one state machine per scheme
+//!   that observes every contact, driven by the discrete-event
+//!   [`crate::sim::FreshnessSimulator`] through `SchemeCtx`. It carries
+//!   the full protocol: replication, retry policies, failure detection,
+//!   re-parenting and planning modes.
+//! * the *per-node* one here: [`NodeProtocol`], one instance per node,
+//!   `on_contact_up / on_message / on_timer → Vec<`[`Effect`]`>`, run by
+//!   the async `omn-node` runtime or the synchronous [`ReplayHarness`].
+//!   It covers the locally decidable variants (tree refreshing and
+//!   epidemic flooding), which proptests keep equal to the global ones.
 //!
 //! The effect vocabulary ([`Effect`]) is the complete set of things the
 //! protocol may ask a runtime to do: send a message, record a cache
 //! write, create a replica, set a timer, re-parent, bump a counter.
 
-pub mod env;
-pub mod epidemic;
-pub mod hier;
 pub mod node;
 pub mod replay;
 
-pub use env::{Delivery, ProtocolEnv};
-pub use epidemic::EpidemicCore;
-pub use hier::{HierarchicalConfig, HierarchicalCore, PlanningMode, ResilienceConfig, RetryPolicy};
 pub use node::{Effect, NodeProtocol, PeerSummary, ProtocolMode, ProtocolMsg, TimerKind};
 pub use replay::{ReplayHarness, ReplayOutcome};

@@ -4,10 +4,10 @@
 //! [`NodeProtocol`] is the protocol as one node experiences it:
 //! `on_contact_up / on_message / on_timer → Vec<`[`Effect`]`>`, with time
 //! injected at every entry point and no shared state between instances.
-//! Where [`HierarchicalCore`](super::HierarchicalCore) is the *global*
-//! formulation (one state machine that sees every contact — exactly what
-//! the DES drives), `NodeProtocol` is the *local* formulation the async
-//! `omn-node` runtime instantiates once per node.
+//! Where the [`crate::scheme`] schemes are the *global* formulation (one
+//! state machine that sees every contact — exactly what the DES drives),
+//! `NodeProtocol` is the *local* formulation the async `omn-node` runtime
+//! instantiates once per node.
 //!
 //! The two formulations coincide exactly for the protocol variants whose
 //! decisions are locally decidable from pairwise state:
@@ -21,8 +21,9 @@
 //! Probabilistic *replication* is deliberately not part of `NodeProtocol`:
 //! the handoff guard (`version_of(parent) == current_version`) compares a
 //! member's cache against the source's **global** current version, which a
-//! disconnected node cannot know. That variant stays in the env-generic
-//! [`HierarchicalCore`]; see DESIGN.md for the locality argument.
+//! disconnected node cannot know. That variant stays in the global
+//! [`HierarchicalScheme`](crate::scheme::HierarchicalScheme); see
+//! DESIGN.md for the locality argument.
 
 use omn_contacts::NodeId;
 use omn_sim::{SimDuration, SimTime};

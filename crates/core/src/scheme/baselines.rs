@@ -1,14 +1,9 @@
 //! Baseline refresh schemes: epidemic flooding of updates, and no
 //! refreshing at all.
-//!
-//! The epidemic logic lives in the sans-io
-//! [`EpidemicCore`](crate::protocol::EpidemicCore); this adapter drives it
-//! with [`SchemeCtx`] as the [`ProtocolEnv`](crate::protocol::ProtocolEnv),
-//! bit-identical to the historical in-place implementation.
 
 use omn_contacts::NodeId;
-
-use crate::protocol::EpidemicCore;
+use omn_sim::hash::FastMap;
+use omn_sim::SimTime;
 
 use super::{RefreshScheme, SchemeCtx};
 
@@ -19,7 +14,9 @@ use super::{RefreshScheme, SchemeCtx};
 /// bound and overhead upper bound of the evaluation.
 #[derive(Debug, Default)]
 pub struct EpidemicRefresh {
-    core: EpidemicCore,
+    /// Newest version carried by each non-member node, with the time it
+    /// was acquired (for buffer-occupancy accounting).
+    carried: FastMap<NodeId, (u64, SimTime)>,
 }
 
 impl EpidemicRefresh {
@@ -28,6 +25,11 @@ impl EpidemicRefresh {
     pub fn new() -> EpidemicRefresh {
         EpidemicRefresh::default()
     }
+
+    fn effective_version(&self, node: NodeId, ctx: &SchemeCtx<'_>) -> Option<u64> {
+        ctx.version_of(node)
+            .or_else(|| self.carried.get(&node).map(|&(v, _)| v))
+    }
 }
 
 impl RefreshScheme for EpidemicRefresh {
@@ -35,12 +37,55 @@ impl RefreshScheme for EpidemicRefresh {
         "epidemic"
     }
 
+    /// The newest effective version between the endpoints flows to the
+    /// older side.
     fn on_contact(&mut self, a: NodeId, b: NodeId, ctx: &mut SchemeCtx<'_>) {
-        self.core.on_contact(a, b, ctx);
+        let va = self.effective_version(a, ctx);
+        let vb = self.effective_version(b, ctx);
+        let (from, to, v) = match (va, vb) {
+            (Some(x), Some(y)) if x > y => (a, b, x),
+            (Some(x), Some(y)) if y > x => (b, a, y),
+            (Some(x), None) => (a, b, x),
+            (None, Some(y)) => (b, a, y),
+            _ => return,
+        };
+        if ctx.is_member(to) {
+            // Under injected transmission loss the delivery may fail; the
+            // flood retries naturally at the pair's next contact.
+            ctx.deliver_version(from, to, v);
+        } else if to != ctx.root() {
+            let now = ctx.now();
+            match self.carried.get(&to).copied() {
+                Some((ov, _)) if ov == v => {}
+                old => {
+                    // The relay handoff rides the same lossy channel as
+                    // member deliveries; a lost handoff leaves the old
+                    // carried copy in place.
+                    if ctx.attempt_transfer(from) {
+                        if let Some((_, acquired)) = old {
+                            ctx.count(
+                                "relay-copy-seconds",
+                                now.saturating_since(acquired).as_secs() as u64,
+                            );
+                        }
+                        self.carried.insert(to, (v, now));
+                        ctx.record_replica();
+                    }
+                }
+            }
+        }
     }
 
+    /// Flushes occupancy accounting for copies still carried.
     fn on_finish(&mut self, ctx: &mut SchemeCtx<'_>) {
-        self.core.on_finish(ctx);
+        let mut occupancy_secs = 0.0;
+        for &(_, acquired) in self.carried.values() {
+            occupancy_secs += ctx.now().saturating_since(acquired).as_secs();
+        }
+        self.carried.clear();
+        if occupancy_secs > 0.0 {
+            ctx.count("relay-copy-seconds", occupancy_secs as u64);
+        }
     }
 }
 
