@@ -54,24 +54,19 @@ impl RefreshScheme for EpidemicRefresh {
             // flood retries naturally at the pair's next contact.
             ctx.deliver_version(from, to, v);
         } else if to != ctx.root() {
-            let now = ctx.now();
-            match self.carried.get(&to).copied() {
-                Some((ov, _)) if ov == v => {}
-                old => {
-                    // The relay handoff rides the same lossy channel as
-                    // member deliveries; a lost handoff leaves the old
-                    // carried copy in place.
-                    if ctx.attempt_transfer(from) {
-                        if let Some((_, acquired)) = old {
-                            ctx.count(
-                                "relay-copy-seconds",
-                                now.saturating_since(acquired).as_secs() as u64,
-                            );
-                        }
-                        self.carried.insert(to, (v, now));
-                        ctx.record_replica();
-                    }
+            // `to` carries at most a version strictly older than `v`. The
+            // relay handoff rides the same lossy channel as member
+            // deliveries; a lost handoff leaves the old carried copy in
+            // place.
+            if ctx.attempt_transfer(from) {
+                let now = ctx.now();
+                if let Some((_, acquired)) = self.carried.insert(to, (v, now)) {
+                    ctx.count(
+                        "relay-copy-seconds",
+                        now.saturating_since(acquired).as_secs() as u64,
+                    );
                 }
+                ctx.record_replica();
             }
         }
     }
