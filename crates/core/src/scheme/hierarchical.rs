@@ -702,16 +702,14 @@ impl RefreshScheme for HierarchicalScheme {
             // copies (superseded versions) are garbage-collected. Dropped
             // copies contribute to relay buffer-occupancy accounting.
             if let Some(copies) = self.relay_copies.get_mut(&x) {
-                let mut kept = Vec::with_capacity(copies.len());
                 let mut occupancy_secs = 0.0;
-                for mut copy in copies.drain(..) {
+                copies.retain_mut(|copy| {
                     if copy.target == y {
                         if ctx.now() < copy.not_before {
                             // Still inside the backoff window: hold the copy
                             // without spending an attempt.
                             ctx.count("retry-backoff-deferrals", 1);
-                            kept.push(copy);
-                            continue;
+                            return true;
                         }
                         match ctx.try_deliver(x, y, copy.version) {
                             Delivery::Failed if copy.retries < retry.max_attempts => {
@@ -725,22 +723,23 @@ impl RefreshScheme for HierarchicalScheme {
                                     retry_key(x, y, copy.version),
                                 );
                                 ctx.count("relay-retries", 1);
-                                kept.push(copy);
+                                true
                             }
                             _ => {
                                 // Duty toward y done either way (delivered,
                                 // already superseded, or out of retries).
                                 occupancy_secs +=
                                     ctx.now().saturating_since(copy.acquired).as_secs();
+                                false
                             }
                         }
                     } else if copy.version != ctx.current_version() {
                         occupancy_secs += ctx.now().saturating_since(copy.acquired).as_secs();
+                        false
                     } else {
-                        kept.push(copy);
+                        true
                     }
-                }
-                *copies = kept;
+                });
                 if occupancy_secs > 0.0 {
                     ctx.count("relay-copy-seconds", occupancy_secs as u64);
                 }
