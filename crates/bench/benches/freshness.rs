@@ -209,9 +209,26 @@ fn bench_wire_codec(c: &mut Criterion) {
     });
 }
 
+fn bench_firehose(c: &mut Criterion) {
+    // The E18 throughput leg end to end: 1000 async node tasks over one
+    // simulated day of the E15 sharded generator (about 305k link-ups),
+    // epidemic mode. Every link-up crosses the supervisor's dispatch
+    // lane, the executor, the channels and the codec, so this is the
+    // runtime's per-message cost at scale.
+    use omn_bench::experiments::e18_runtime::throughput_point;
+
+    c.bench_function("node/firehose_1000_nodes", |b| {
+        b.iter(|| {
+            let report = throughput_point(1000, 11);
+            assert_eq!(report.messages_received, report.messages_sent);
+            report.contacts
+        });
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_freshness_run, bench_oracle_overhead, bench_sharded_stream, bench_sharded_window_barrier, bench_trace_parse, bench_scenario_compile, bench_byte_budget, bench_wire_codec
+    targets = bench_freshness_run, bench_oracle_overhead, bench_sharded_stream, bench_sharded_window_barrier, bench_trace_parse, bench_scenario_compile, bench_byte_budget, bench_wire_codec, bench_firehose
 }
 criterion_main!(benches);

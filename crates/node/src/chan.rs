@@ -8,6 +8,18 @@
 //! receivers when it is empty. Closure is bidirectional: dropping the
 //! receiver fails subsequent sends, dropping the last sender drains the
 //! receiver to `None`.
+//!
+//! Wake discipline: an async waiter registers a [`Waker`], a blocking
+//! waiter parks on a [`Condvar`] after counting itself in `recv_parked` /
+//! `send_parked` under the lock. Every state change wakes the registered
+//! wakers and notifies a condvar only when its parked count, read under
+//! the same lock, is non-zero. On Linux a `notify_*` is a futex syscall
+//! even with nobody waiting, and the node runtime sends and receives
+//! millions of messages whose peers are almost never parked. The check
+//! cannot lose a wakeup: a waiter counts itself and re-checks the queue
+//! while holding the lock, and `Condvar::wait` releases that lock
+//! atomically, so a notifier that sees a zero count ran strictly before
+//! the waiter's re-check.
 
 use std::collections::VecDeque;
 use std::future::Future;
@@ -34,6 +46,10 @@ struct State<T> {
     receiver_alive: bool,
     recv_waker: Option<Waker>,
     send_wakers: Vec<Waker>,
+    /// Blocking receivers waiting on `recv_ready` (0 or 1: single consumer).
+    recv_parked: usize,
+    /// Blocking senders waiting on `send_ready`.
+    send_parked: usize,
 }
 
 struct Shared<T> {
@@ -55,12 +71,32 @@ impl<T> Shared<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn wake_receiver(state: &mut State<T>) -> Option<Waker> {
-        state.recv_waker.take()
+    /// Releases `state` and wakes the receiver: its registered waker, and
+    /// the condvar only if a blocking receiver is parked.
+    fn wake_receiver(&self, mut state: MutexGuard<'_, State<T>>) {
+        let waker = state.recv_waker.take();
+        let parked = state.recv_parked > 0;
+        drop(state);
+        if let Some(w) = waker {
+            w.wake();
+        }
+        if parked {
+            self.recv_ready.notify_one();
+        }
     }
 
-    fn wake_senders(state: &mut State<T>) -> Vec<Waker> {
-        std::mem::take(&mut state.send_wakers)
+    /// Releases `state` and wakes every sender: the registered wakers, and
+    /// the condvar only if a blocking sender is parked.
+    fn wake_senders(&self, mut state: MutexGuard<'_, State<T>>) {
+        let wakers = std::mem::take(&mut state.send_wakers);
+        let parked = state.send_parked > 0;
+        drop(state);
+        for w in wakers {
+            w.wake();
+        }
+        if parked {
+            self.send_ready.notify_all();
+        }
     }
 }
 
@@ -76,6 +112,8 @@ pub fn channel<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
             receiver_alive: true,
             recv_waker: None,
             send_wakers: Vec::new(),
+            recv_parked: 0,
+            send_parked: 0,
         }),
         recv_ready: Condvar::new(),
         send_ready: Condvar::new(),
@@ -111,19 +149,11 @@ impl<T> Clone for Sender<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let waker = {
-            let mut state = self.shared.lock();
-            state.senders -= 1;
-            if state.senders == 0 {
-                Shared::wake_receiver(&mut state)
-            } else {
-                None
-            }
-        };
-        if let Some(w) = waker {
-            w.wake();
+        let mut state = self.shared.lock();
+        state.senders -= 1;
+        if state.senders == 0 {
+            self.shared.wake_receiver(state);
         }
-        self.shared.recv_ready.notify_all();
     }
 }
 
@@ -150,12 +180,7 @@ impl<T> Sender<T> {
             return Err(Closed);
         }
         state.queue.push_back(value);
-        let waker = Shared::wake_receiver(&mut state);
-        drop(state);
-        if let Some(w) = waker {
-            w.wake();
-        }
-        self.shared.recv_ready.notify_one();
+        self.shared.wake_receiver(state);
         Ok(())
     }
 
@@ -169,19 +194,16 @@ impl<T> Sender<T> {
             }
             if state.queue.len() < state.capacity {
                 state.queue.push_back(value);
-                let waker = Shared::wake_receiver(&mut state);
-                drop(state);
-                if let Some(w) = waker {
-                    w.wake();
-                }
-                self.shared.recv_ready.notify_one();
+                self.shared.wake_receiver(state);
                 return Ok(());
             }
+            state.send_parked += 1;
             state = self
                 .shared
                 .send_ready
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
+            state.send_parked -= 1;
         }
     }
 }
@@ -220,12 +242,7 @@ impl<T> Future for SendFuture<'_, T> {
                 return Poll::Ready(Err(Closed));
             };
             state.queue.push_back(value);
-            let waker = Shared::wake_receiver(&mut state);
-            drop(state);
-            if let Some(w) = waker {
-                w.wake();
-            }
-            this.shared.recv_ready.notify_one();
+            this.shared.wake_receiver(state);
             Poll::Ready(Ok(()))
         } else {
             state.send_wakers.push(cx.waker().clone());
@@ -247,15 +264,9 @@ impl<T> std::fmt::Debug for Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let wakers = {
-            let mut state = self.shared.lock();
-            state.receiver_alive = false;
-            Shared::wake_senders(&mut state)
-        };
-        for w in wakers {
-            w.wake();
-        }
-        self.shared.send_ready.notify_all();
+        let mut state = self.shared.lock();
+        state.receiver_alive = false;
+        self.shared.wake_senders(state);
     }
 }
 
@@ -274,22 +285,19 @@ impl<T> Receiver<T> {
         let mut state = self.shared.lock();
         loop {
             if let Some(v) = state.queue.pop_front() {
-                let wakers = Shared::wake_senders(&mut state);
-                drop(state);
-                for w in wakers {
-                    w.wake();
-                }
-                self.shared.send_ready.notify_all();
+                self.shared.wake_senders(state);
                 return Some(v);
             }
             if state.senders == 0 {
                 return None;
             }
+            state.recv_parked += 1;
             state = self
                 .shared
                 .recv_ready
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
+            state.recv_parked -= 1;
         }
     }
 
@@ -297,12 +305,7 @@ impl<T> Receiver<T> {
     pub fn try_recv(&mut self) -> Option<T> {
         let mut state = self.shared.lock();
         let v = state.queue.pop_front()?;
-        let wakers = Shared::wake_senders(&mut state);
-        drop(state);
-        for w in wakers {
-            w.wake();
-        }
-        self.shared.send_ready.notify_all();
+        self.shared.wake_senders(state);
         Some(v)
     }
 }
@@ -324,12 +327,7 @@ impl<T> Future for RecvFuture<'_, T> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let mut state = self.shared.lock();
         if let Some(v) = state.queue.pop_front() {
-            let wakers = Shared::wake_senders(&mut state);
-            drop(state);
-            for w in wakers {
-                w.wake();
-            }
-            self.shared.send_ready.notify_all();
+            self.shared.wake_senders(state);
             return Poll::Ready(Some(v));
         }
         if state.senders == 0 {
@@ -343,6 +341,7 @@ impl<T> Future for RecvFuture<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn blocking_send_and_recv_round_trip() {
@@ -376,21 +375,120 @@ mod tests {
         assert_eq!(rx.try_recv(), None);
     }
 
-    #[test]
-    fn send_future_reports_closed_when_polled_after_completion() {
+    /// Runs `f` with a context whose waker does nothing.
+    fn noop_context<R>(f: impl FnOnce(&mut Context<'_>) -> R) -> R {
         struct Noop;
         impl std::task::Wake for Noop {
             fn wake(self: Arc<Self>) {}
         }
         let waker = Waker::from(Arc::new(Noop));
-        let mut cx = Context::from_waker(&waker);
+        f(&mut Context::from_waker(&waker))
+    }
+
+    #[test]
+    fn send_future_reports_closed_when_polled_after_completion() {
         let (tx, mut rx) = channel::<u64>(2);
         let mut fut = tx.send(5);
-        assert_eq!(Pin::new(&mut fut).poll(&mut cx), Poll::Ready(Ok(())));
-        // The value was consumed by the first poll; a second poll is a
-        // caller bug and reports failure instead of panicking.
-        assert_eq!(Pin::new(&mut fut).poll(&mut cx), Poll::Ready(Err(Closed)));
+        noop_context(|cx| {
+            assert_eq!(Pin::new(&mut fut).poll(cx), Poll::Ready(Ok(())));
+            // The value was consumed by the first poll; a second poll is a
+            // caller bug and reports failure instead of panicking.
+            assert_eq!(Pin::new(&mut fut).poll(cx), Poll::Ready(Err(Closed)));
+        });
         assert_eq!(rx.try_recv(), Some(5));
+    }
+
+    const TIMEOUT: Duration = Duration::from_secs(10);
+
+    /// Polls until `done()` holds, failing after [`TIMEOUT`] instead of
+    /// hanging.
+    fn within_timeout(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + TIMEOUT;
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Waits until `parked` holds for the channel's state, so the waking
+    /// call under test really finds a thread waiting on the condvar.
+    fn await_parked<T>(shared: &Shared<T>, parked: impl Fn(&State<T>) -> bool) {
+        within_timeout("the waiter never parked", || parked(&shared.lock()));
+    }
+
+    /// Joins a thread blocked in the channel; a lost wakeup fails here.
+    fn join_woken<R>(handle: std::thread::JoinHandle<R>) -> R {
+        within_timeout("lost wakeup: the thread stayed parked", || {
+            handle.is_finished()
+        });
+        handle.join().expect("the woken thread panicked")
+    }
+
+    /// A blocking sender parked on a full capacity-1 channel, released by
+    /// `pop` on the receiver side.
+    fn parked_sender_is_woken_by(pop: impl FnOnce(&mut Receiver<u64>) -> Option<u64>) {
+        let (tx, mut rx) = channel::<u64>(1);
+        tx.send_blocking(0).unwrap();
+        let shared = Arc::clone(&tx.shared);
+        let sender = std::thread::spawn(move || tx.send_blocking(1));
+        await_parked(&shared, |s| s.send_parked == 1);
+        assert_eq!(pop(&mut rx), Some(0));
+        assert_eq!(join_woken(sender), Ok(()));
+        assert_eq!(rx.try_recv(), Some(1));
+    }
+
+    #[test]
+    fn parked_sender_wakes_on_async_recv() {
+        parked_sender_is_woken_by(|rx| {
+            noop_context(|cx| match Pin::new(&mut rx.recv()).poll(cx) {
+                Poll::Ready(v) => v,
+                Poll::Pending => None,
+            })
+        });
+    }
+
+    #[test]
+    fn parked_sender_wakes_on_try_recv() {
+        parked_sender_is_woken_by(Receiver::try_recv);
+    }
+
+    /// A blocking receiver parked on an empty channel, released by `wake`
+    /// on the sender side; `expect` is what the receiver then returns.
+    fn parked_receiver_is_woken_by(wake: impl FnOnce(Sender<u64>), expect: Option<u64>) {
+        let (tx, mut rx) = channel::<u64>(1);
+        let shared = Arc::clone(&tx.shared);
+        let receiver = std::thread::spawn(move || rx.recv_blocking());
+        await_parked(&shared, |s| s.recv_parked == 1);
+        wake(tx);
+        assert_eq!(join_woken(receiver), expect);
+    }
+
+    #[test]
+    fn parked_receiver_wakes_on_send_relaxed() {
+        parked_receiver_is_woken_by(|tx| tx.send_relaxed(3).unwrap(), Some(3));
+    }
+
+    #[test]
+    fn parked_receiver_wakes_on_async_send() {
+        parked_receiver_is_woken_by(
+            |tx| {
+                let sent = noop_context(|cx| Pin::new(&mut tx.send(4)).poll(cx));
+                assert_eq!(sent, Poll::Ready(Ok(())));
+            },
+            Some(4),
+        );
+    }
+
+    #[test]
+    fn parked_receiver_wakes_when_the_last_sender_drops() {
+        parked_receiver_is_woken_by(
+            |tx| {
+                // Dropping a clone leaves a sender alive: no wake is due.
+                drop(tx.clone());
+                drop(tx);
+            },
+            None,
+        );
     }
 
     #[test]

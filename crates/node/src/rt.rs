@@ -7,6 +7,14 @@
 //! `spawn` + cooperative wakeups from the bounded channels in
 //! [`chan`](crate::chan) — and nothing more (no IO reactor, no timers;
 //! simulated time is driven by the link supervisor).
+//!
+//! Wake discipline: a worker that finds the ready queue empty counts
+//! itself `idle` under the queue lock before it waits on the condvar, and
+//! a task wake notifies only when that count is non-zero. Node tasks
+//! wake each other on almost every message while the workers are busy,
+//! and an unconditional `notify_one` is a futex syscall per wake. The
+//! same lock orders the count against the push, so no wakeup is lost
+//! (see [`chan`](crate::chan) for the argument).
 
 use std::collections::VecDeque;
 use std::future::Future;
@@ -20,9 +28,15 @@ type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
 /// Shared executor state: the ready queue and shutdown flag.
 struct Shared {
-    ready: Mutex<VecDeque<Arc<Task>>>,
+    ready: Mutex<Ready>,
     available: Condvar,
     shutdown: AtomicBool,
+}
+
+/// The ready queue plus the number of workers parked on `available`.
+struct Ready {
+    tasks: VecDeque<Arc<Task>>,
+    idle: usize,
 }
 
 impl Shared {
@@ -30,7 +44,7 @@ impl Shared {
     /// that panicked inside a task poll never leaves the queue itself
     /// half-mutated (pushes and pops are single operations), so the
     /// remaining workers can keep scheduling the surviving tasks.
-    fn ready(&self) -> MutexGuard<'_, VecDeque<Arc<Task>>> {
+    fn ready(&self) -> MutexGuard<'_, Ready> {
         self.ready.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -47,8 +61,13 @@ impl Wake for Task {
     fn wake(self: Arc<Self>) {
         if !self.queued.swap(true, Ordering::AcqRel) {
             let shared = Arc::clone(&self.shared);
-            shared.ready().push_back(self);
-            shared.available.notify_one();
+            let mut ready = shared.ready();
+            ready.tasks.push_back(self);
+            let idle = ready.idle > 0;
+            drop(ready);
+            if idle {
+                shared.available.notify_one();
+            }
         }
     }
 }
@@ -73,7 +92,10 @@ impl Executor {
     #[must_use]
     pub fn new(threads: usize) -> Executor {
         let shared = Arc::new(Shared {
-            ready: Mutex::new(VecDeque::new()),
+            ready: Mutex::new(Ready {
+                tasks: VecDeque::new(),
+                idle: 0,
+            }),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
@@ -105,18 +127,18 @@ impl Executor {
     /// Stops the workers after the ready queue drains of running work and
     /// joins them. Tasks still pending on a channel are dropped in place
     /// (their futures are simply never polled again).
-    pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.available.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for Executor {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
+        // Pass through the queue lock before notifying: a worker that read
+        // the flag as unset under the lock is then already waiting, so the
+        // notify reaches it.
+        drop(self.shared.ready());
         self.shared.available.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -129,16 +151,18 @@ fn worker(shared: &Arc<Shared>) {
         let task = {
             let mut ready = shared.ready();
             loop {
-                if let Some(t) = ready.pop_front() {
+                if let Some(t) = ready.tasks.pop_front() {
                     break t;
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
+                ready.idle += 1;
                 ready = shared
                     .available
                     .wait(ready)
                     .unwrap_or_else(PoisonError::into_inner);
+                ready.idle -= 1;
             }
         };
         // Clear the dedup flag *before* polling: a wake that lands during
@@ -214,6 +238,30 @@ mod tests {
             .recv_timeout(std::time::Duration::from_secs(10))
             .unwrap();
         assert_eq!(sum, 5050);
+        exec.shutdown();
+    }
+
+    #[test]
+    fn idle_worker_wakes_on_a_spawn_from_another_thread() {
+        let exec = Executor::new(1);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while exec.shared.ready().idle != 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the worker never parked"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                exec.spawn(async move {
+                    tx.send(()).unwrap();
+                });
+            });
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("lost wakeup: the idle worker never ran the task");
         exec.shutdown();
     }
 }

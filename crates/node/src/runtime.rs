@@ -20,9 +20,22 @@
 //! directional pass `x → y` acks, a `Flush` sent to `y` necessarily
 //! follows any wire frame `x` queued to `y`, so `y`'s `FlushDone`
 //! certifies the frame was absorbed and its events drained.
+//!
+//! Inboxes are addressed by node id. Every node task and the supervisor
+//! share one directory, an `Arc<[Sender<NodeMsg>]>` indexed by
+//! [`NodeId`], so no message carries a channel handle: a link-context
+//! send goes to the link peer's inbox, and the effects a wire frame
+//! provokes go to the inbox of the frame's decoded sender id. A frame
+//! whose sender id is outside the directory counts as a decode error.
+//! The directory keeps every inbox's sender alive, so a task never sees
+//! its inbox close; each one exits on its `Shutdown` message instead.
+//! Messages are at most 24 bytes (the lockstep-only summary is boxed),
+//! which matters because a firehose run queues on the order of 10⁶ of
+//! them in the inboxes at its peak.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::sync::Arc;
 
 use omn_contacts::{ContactSource, LinkEventKind, LinkEvents, NodeId};
 use omn_core::freshness::FreshnessTracker;
@@ -103,25 +116,16 @@ enum NodeMsg {
     /// Lockstep: report your [`PeerSummary`] (acked with
     /// [`Ack::Summary`]).
     Probe,
-    /// Lockstep: a link to `peer` came up; run your directional pass and
-    /// wire any sends through `peer_tx` (acked with [`Ack::PassDone`]).
-    LinkUp {
-        t: SimTime,
-        peer: PeerSummary,
-        peer_tx: Sender<NodeMsg>,
-    },
+    /// Lockstep: a link to `peer.node` came up; run your directional pass
+    /// and wire any sends to that node's inbox (acked with
+    /// [`Ack::PassDone`]). The summary is boxed to keep every message at
+    /// 24 bytes.
+    LinkUp { t: SimTime, peer: Box<PeerSummary> },
     /// Firehose: a link to `peer` came up; wire-send it your summary.
-    Announce {
-        t: SimTime,
-        peer: NodeId,
-        peer_tx: Sender<NodeMsg>,
-    },
-    /// A serialized frame from another node. `reply_tx` is the sender's
-    /// inbox, for effects the frame provokes.
-    Wire {
-        bytes: Vec<u8>,
-        reply_tx: Sender<NodeMsg>,
-    },
+    Announce { t: SimTime, peer: NodeId },
+    /// A serialized frame from another node. Effects it provokes go to
+    /// the inbox of the frame's sender id.
+    Wire { bytes: Vec<u8> },
     /// A timer this node asked for (or the supervisor drives) fired.
     Timer { t: SimTime, kind: TimerKind },
     /// Processed strictly after everything already queued; acked with
@@ -158,9 +162,8 @@ enum Ack {
 struct NodeTask {
     proto: NodeProtocol,
     inbox: Receiver<NodeMsg>,
-    /// This node's own inbox sender, stamped onto outgoing wire frames as
-    /// the reply channel.
-    self_tx: Sender<NodeMsg>,
+    /// Every node's inbox, indexed by node id.
+    directory: Arc<[Sender<NodeMsg>]>,
     /// Lockstep event feed (`None` in firehose mode).
     events: Option<Sender<Event>>,
     acks: Sender<Ack>,
@@ -179,32 +182,31 @@ impl NodeTask {
     async fn run(mut self) {
         let effects = self.proto.on_start();
         self.apply(SimTime::ZERO, effects, None).await;
-        loop {
-            let Some(msg) = self.inbox.recv().await else {
-                break;
-            };
+        while let Some(msg) = self.inbox.recv().await {
             match msg {
                 NodeMsg::Probe => {
                     let _ = self.acks.send(Ack::Summary(self.proto.summary())).await;
                 }
-                NodeMsg::LinkUp { t, peer, peer_tx } => {
+                NodeMsg::LinkUp { t, peer } => {
                     let effects = self.proto.on_contact_up(t, &peer);
-                    self.apply(t, effects, Some(&peer_tx)).await;
+                    self.apply(t, effects, Some(peer.node)).await;
                     let _ = self.acks.send(Ack::PassDone).await;
                 }
-                NodeMsg::Announce { t, peer, peer_tx } => {
+                NodeMsg::Announce { t, peer } => {
                     let msg = ProtocolMsg::Summary(self.proto.summary());
-                    self.wire_send(t, peer, &msg, &peer_tx);
+                    self.wire_send(t, peer, &msg, peer);
                 }
-                NodeMsg::Wire { bytes, reply_tx } => {
+                NodeMsg::Wire { bytes } => {
                     self.received += 1;
                     self.bytes_received += bytes.len() as u64;
                     match codec::decode(&bytes) {
-                        Ok((from, t, msg)) => {
+                        // Replies are routed by the sender id, so one
+                        // with no inbox is as undecodable as a bad tag.
+                        Ok((from, t, msg)) if from.index() < self.directory.len() => {
                             let effects = self.proto.on_message(t, from, &msg);
-                            self.apply(t, effects, Some(&reply_tx)).await;
+                            self.apply(t, effects, Some(from)).await;
                         }
-                        Err(_) => self.decode_errors += 1,
+                        _ => self.decode_errors += 1,
                     }
                 }
                 NodeMsg::Timer { t, kind } => {
@@ -237,7 +239,9 @@ impl NodeTask {
         }
     }
 
-    async fn apply(&mut self, t: SimTime, effects: Vec<Effect>, peer_tx: Option<&Sender<NodeMsg>>) {
+    /// Carries out `effects`; `link` is the peer whose inbox receives
+    /// sends (`None` outside a link context).
+    async fn apply(&mut self, t: SimTime, effects: Vec<Effect>, link: Option<NodeId>) {
         for effect in effects {
             match effect {
                 Effect::Send { to, msg } => {
@@ -245,11 +249,11 @@ impl NodeTask {
                     // context; a protocol emitting one elsewhere is a
                     // bug, but dropping the frame and recording it keeps
                     // the rest of the network running.
-                    let Some(tx) = peer_tx else {
+                    let Some(peer) = link else {
                         bump(&mut self.counts, "send-effect-without-link", 1);
                         continue;
                     };
-                    self.wire_send(t, to, &msg, tx);
+                    self.wire_send(t, to, &msg, peer);
                 }
                 Effect::CacheWrite { version } => {
                     if let Some(events) = &self.events {
@@ -283,7 +287,10 @@ impl NodeTask {
         }
     }
 
-    fn wire_send(&mut self, t: SimTime, to: NodeId, msg: &ProtocolMsg, peer_tx: &Sender<NodeMsg>) {
+    /// Encodes `msg` addressed to `to` and queues it on `peer`'s inbox.
+    /// `peer` is the supervisor's link endpoint or a sender id already
+    /// checked against the directory, so the index is in range.
+    fn wire_send(&mut self, t: SimTime, to: NodeId, msg: &ProtocolMsg, peer: NodeId) {
         let bytes = codec::encode(self.seq, self.proto.id(), to, t, msg);
         self.seq += 1;
         self.sent += 1;
@@ -293,10 +300,7 @@ impl NodeTask {
         // wiring frames at each other through full bounded inboxes would
         // deadlock). Boundedness comes from the supervisor's dispatch
         // lane, which *does* block on capacity.
-        let _ = peer_tx.send_relaxed(NodeMsg::Wire {
-            bytes,
-            reply_tx: self.self_tx.clone(),
-        });
+        let _ = self.directory[peer.index()].send_relaxed(NodeMsg::Wire { bytes });
     }
 }
 
@@ -316,11 +320,11 @@ fn bump_secs(counts: &mut Vec<(&'static str, f64)>, name: &'static str, secs: f6
     }
 }
 
-/// The spawned network: per-node inbox senders plus the shared ack and
+/// The spawned network: the inbox directory plus the shared ack and
 /// event receivers the supervisor consumes.
 struct Network {
     exec: Executor,
-    inboxes: Vec<Sender<NodeMsg>>,
+    inboxes: Arc<[Sender<NodeMsg>]>,
     acks: Receiver<Ack>,
     events: Option<Receiver<Event>>,
 }
@@ -346,9 +350,11 @@ fn spawn_network(
     let exec = Executor::new(workers);
     let (ack_tx, ack_rx) = chan::channel::<Ack>(node_count.max(64));
     let (event_tx, event_rx) = chan::channel::<Event>(4096);
-    let mut inboxes = Vec::with_capacity(node_count);
-    let mut tasks = Vec::with_capacity(node_count);
-    for i in 0..node_count {
+    let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..node_count)
+        .map(|_| chan::channel::<NodeMsg>(config.inbox_capacity))
+        .unzip();
+    let inboxes: Arc<[Sender<NodeMsg>]> = inboxes.into();
+    for (i, inbox) in receivers.into_iter().enumerate() {
         let id = NodeId(u32::try_from(i).expect("node id fits u32"));
         let mut proto = NodeProtocol::new(id, root, members.contains(&id), config.mode);
         if let Some(tree) = tree {
@@ -361,11 +367,10 @@ fn spawn_network(
             // schedule instead (no event channel to carry SetTimer).
             proto.set_schedule(config.refresh_period, span);
         }
-        let (tx, rx) = chan::channel::<NodeMsg>(config.inbox_capacity);
-        tasks.push(NodeTask {
+        let task = NodeTask {
             proto,
-            inbox: rx,
-            self_tx: tx.clone(),
+            inbox,
+            directory: Arc::clone(&inboxes),
             events: lockstep.then(|| event_tx.clone()),
             acks: ack_tx.clone(),
             seq: 0,
@@ -377,10 +382,7 @@ fn spawn_network(
             decode_errors: 0,
             counts: Vec::new(),
             count_secs: Vec::new(),
-        });
-        inboxes.push(tx);
-    }
-    for task in tasks {
+        };
         exec.spawn(task.run());
     }
     Network {
@@ -393,7 +395,7 @@ fn spawn_network(
 
 /// Lockstep supervisor state shared by the contact and birth handlers.
 struct Lockstep {
-    inboxes: Vec<Sender<NodeMsg>>,
+    inboxes: Arc<[Sender<NodeMsg>]>,
     acks: Receiver<Ack>,
     events: Receiver<Event>,
     world: SimWorld,
@@ -490,8 +492,7 @@ impl Lockstep {
             self.inboxes[x.index()]
                 .send_blocking(NodeMsg::LinkUp {
                     t: at,
-                    peer: summary,
-                    peer_tx: self.inboxes[y.index()].clone(),
+                    peer: Box::new(summary),
                 })
                 .map_err(|_| RuntimeError::InboxClosed(x))?;
             match self.acks.recv_blocking() {
@@ -778,11 +779,7 @@ pub fn run_firehose<S: ContactSource>(
             contact_count += 1;
             for (x, y) in [(ev.pair.0, ev.pair.1), (ev.pair.1, ev.pair.0)] {
                 if inboxes[x.index()]
-                    .send_blocking(NodeMsg::Announce {
-                        t: ev.at,
-                        peer: y,
-                        peer_tx: inboxes[y.index()].clone(),
-                    })
+                    .send_blocking(NodeMsg::Announce { t: ev.at, peer: y })
                     .is_err()
                 {
                     channel_errors += 1;
@@ -807,7 +804,7 @@ pub fn run_firehose<S: ContactSource>(
     // drained (announce → summary frame → refresh frame → absorb).
     for _ in 0..3 {
         let mut expected = 0usize;
-        for tx in &inboxes {
+        for tx in inboxes.iter() {
             if tx.send_blocking(NodeMsg::Flush).is_ok() {
                 expected += 1;
             } else {
@@ -828,7 +825,7 @@ pub fn run_firehose<S: ContactSource>(
     }
 
     let mut expected = 0usize;
-    for tx in &inboxes {
+    for tx in inboxes.iter() {
         if tx.send_blocking(NodeMsg::Shutdown { t: span }).is_ok() {
             expected += 1;
         } else {
@@ -869,5 +866,58 @@ pub fn run_firehose<S: ContactSource>(
         decode_errors,
         channel_errors,
         elapsed,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use omn_core::protocol::ProtocolMode;
+
+    #[test]
+    fn node_msg_fits_in_24_bytes() {
+        // Firehose peak RSS is inbox backlog, about 10⁶ queued messages.
+        assert!(std::mem::size_of::<NodeMsg>() <= 24);
+    }
+
+    #[test]
+    fn frame_from_an_unknown_sender_id_is_a_decode_error() {
+        let config = RuntimeConfig {
+            oracle_mode: OracleMode::Campaign,
+            workers: 1,
+            inbox_capacity: 4,
+            ..RuntimeConfig::new(ProtocolMode::Epidemic, SimDuration::from_hours(6.0))
+        };
+        let members: HashSet<NodeId> = [NodeId(1)].into_iter().collect();
+        let span = SimTime::from_secs(86_400.0);
+        let Network {
+            exec,
+            inboxes,
+            mut acks,
+            ..
+        } = spawn_network(3, NodeId(0), &members, None, &config, span, false);
+        let refresh = ProtocolMsg::Refresh { version: 1 };
+        let t = SimTime::from_secs(60.0);
+        // Sender ids 3 and u32::MAX have no inbox to reply to; node 0's
+        // frame is well-formed and must still be absorbed.
+        for from in [NodeId(3), NodeId(u32::MAX), NodeId(0)] {
+            let bytes = codec::encode(0, from, NodeId(1), t, &refresh);
+            inboxes[1].send_blocking(NodeMsg::Wire { bytes }).unwrap();
+        }
+        for tx in inboxes.iter() {
+            tx.send_blocking(NodeMsg::Shutdown { t: span }).unwrap();
+        }
+        let mut reports: Vec<NodeReport> = (0..3)
+            .map(|_| match acks.recv_blocking() {
+                Some(Ack::Done(r)) => r,
+                _ => panic!("expected a shutdown report"),
+            })
+            .collect();
+        exec.shutdown();
+        reports.sort_unstable_by_key(|r| r.node);
+        assert_eq!(reports[1].msgs_received, 3);
+        assert_eq!(reports[1].decode_errors, 2);
+        assert_eq!(reports[1].cache, Some(1), "the valid frame was absorbed");
+        assert_eq!(reports[0].decode_errors + reports[2].decode_errors, 0);
     }
 }
