@@ -7,12 +7,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use omn_bench::experiments::e15_scalability::scale_config;
 use omn_bench::experiments::{config_for, trace_for};
+use omn_contacts::estimate::{EstimatorKind, PairRateTable};
 use omn_contacts::synth::presets::TracePreset;
 use omn_contacts::synth::sharded::{ParallelShardedSource, ShardedCommunitySource};
 use omn_contacts::synth::{generate_pairwise, PairwiseConfig};
 use omn_contacts::ContactSource;
 use omn_core::sim::{FreshnessSimulator, SchemeChoice};
-use omn_sim::{OracleMode, RngFactory, SimDuration};
+use omn_sim::{OracleMode, RngFactory, SimDuration, SimTime};
 use omn_traces::haggle::{write_haggle, HaggleFormat};
 use omn_traces::{IdPolicy, IngestConfig, TraceReader};
 
@@ -70,6 +71,30 @@ fn bench_sharded_stream(c: &mut Criterion) {
                 n += 1;
             }
             n
+        });
+    });
+}
+
+fn bench_pair_rate_table(c: &mut Criterion) {
+    // The E15 estimator: record every contact of the 1000-node day into
+    // a cumulative pair-rate table, then export the planning graph once,
+    // as a rebuild does. The stream is drained beforehand, so only the
+    // table is timed.
+    let cfg = scale_config(1000);
+    let mut source = ShardedCommunitySource::new(&cfg, &RngFactory::new(11));
+    let mut contacts = Vec::new();
+    while let Some(contact) = source.next_contact() {
+        let (a, b) = contact.pair();
+        contacts.push((a, b, contact.start()));
+    }
+    let end = contacts.last().map_or(SimTime::ZERO, |&(_, _, t)| t);
+    c.bench_function("contacts/pair_rate_table_1000_nodes_1_day", |b| {
+        b.iter(|| {
+            let mut table = PairRateTable::new(EstimatorKind::Cumulative, SimTime::ZERO);
+            for &(a, b, t) in &contacts {
+                table.record_contact(a, b, t);
+            }
+            table.to_graph(1000, end).edge_count()
         });
     });
 }
@@ -229,6 +254,6 @@ fn bench_firehose(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_freshness_run, bench_oracle_overhead, bench_sharded_stream, bench_sharded_window_barrier, bench_trace_parse, bench_scenario_compile, bench_byte_budget, bench_wire_codec, bench_firehose
+    targets = bench_freshness_run, bench_oracle_overhead, bench_sharded_stream, bench_pair_rate_table, bench_sharded_window_barrier, bench_trace_parse, bench_scenario_compile, bench_byte_budget, bench_wire_codec, bench_firehose
 }
 criterion_main!(benches);

@@ -89,6 +89,29 @@ impl ContactGraph {
         }
     }
 
+    /// Wraps adjacency rows that are already canonical: each row sorted by
+    /// strictly ascending peer, every rate positive and finite, and every
+    /// edge present in both endpoints' rows. Builders that emit pairs in
+    /// key order push rows this way instead of paying a sorted insert per
+    /// edge.
+    pub(crate) fn from_sorted_rows(adj: Vec<Vec<(u32, f64)>>) -> ContactGraph {
+        let n = adj.len();
+        assert!(
+            n > 0,
+            "ContactGraph::from_sorted_rows: need at least one node"
+        );
+        debug_assert!(
+            adj.iter().all(|row| {
+                row.windows(2).all(|w| w[0].0 < w[1].0)
+                    && row
+                        .iter()
+                        .all(|&(j, r)| (j as usize) < n && r.is_finite() && r > 0.0)
+            }),
+            "ContactGraph::from_sorted_rows: rows are not canonical"
+        );
+        ContactGraph { n, adj }
+    }
+
     /// Estimates the graph from a trace with the maximum-likelihood rate
     /// `λij = (#contacts between i and j) / span`.
     ///

@@ -29,6 +29,16 @@ fn contact_strategy(n: u32) -> impl Strategy<Value = Contact> {
     )
 }
 
+/// A fresh direct estimator of `kind`, the reference a table entry must
+/// match.
+fn direct_estimator(kind: EstimatorKind, start: SimTime) -> Box<dyn RateEstimator> {
+    match kind {
+        EstimatorKind::Cumulative => Box::new(CumulativeMle::new(start)),
+        EstimatorKind::Ewma(alpha) => Box::new(EwmaRate::new(alpha)),
+        EstimatorKind::Window(w) => Box::new(SlidingWindowRate::new(w)),
+    }
+}
+
 proptest! {
     /// A `PairRateTable` of each estimator kind reports exactly what one
     /// directly built estimator per pair reports: the same rates (bit for
@@ -62,13 +72,7 @@ proptest! {
                 table.record_contact(a, b, t);
                 reference
                     .entry((a.min(b), a.max(b)))
-                    .or_insert_with(|| -> Box<dyn RateEstimator> {
-                        match kind {
-                            EstimatorKind::Cumulative => Box::new(CumulativeMle::new(start)),
-                            EstimatorKind::Ewma(alpha) => Box::new(EwmaRate::new(alpha)),
-                            EstimatorKind::Window(w) => Box::new(SlidingWindowRate::new(w)),
-                        }
-                    })
+                    .or_insert_with(|| direct_estimator(kind, start))
                     .record_contact(t);
             }
             prop_assert_eq!(table.observed_pairs(), reference.len());
@@ -501,6 +505,90 @@ proptest! {
             prop_assert!(
                 (w[0].start(), w[0].end(), w[0].pair()) <= (w[1].start(), w[1].end(), w[1].pair())
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Long streams cross the table's fold threshold several times, and
+    /// reads (which fold too) land between records at random points. After
+    /// every read, the table of each kind agrees with one directly built
+    /// estimator per pair: rates bit for bit, observed pairs, and the
+    /// planning graph against one built pair by pair with `set_rate`.
+    #[test]
+    fn pair_rate_table_folds_match_direct_estimators(
+        seed in any::<u64>(),
+        nodes in 8u32..48,
+        len in 9_000usize..16_000,
+        read_every in 200usize..3_000,
+        alpha in 0.05f64..1.0,
+        window in 1.0f64..500.0,
+    ) {
+        use rand::Rng;
+        let start = SimTime::from_secs(7.0);
+        let kinds = [
+            EstimatorKind::Cumulative,
+            EstimatorKind::Ewma(alpha),
+            EstimatorKind::Window(SimDuration::from_secs(window)),
+        ];
+        for kind in kinds {
+            let mut rng = RngFactory::new(seed).stream("rate-table-stream");
+            let mut table = PairRateTable::new(kind, start);
+            let mut reference: BTreeMap<(NodeId, NodeId), Box<dyn RateEstimator>> =
+                BTreeMap::new();
+            let mut t = start;
+            for i in 0..len {
+                t += SimDuration::from_secs(rng.gen_range(0.0..5.0));
+                let a = NodeId(rng.gen_range(0..nodes));
+                let b = NodeId(rng.gen_range(0..nodes));
+                if a != b {
+                    table.record_contact(a, b, t);
+                    reference
+                        .entry((a.min(b), a.max(b)))
+                        .or_insert_with(|| direct_estimator(kind, start))
+                        .record_contact(t);
+                }
+                if i % read_every != read_every - 1 {
+                    continue;
+                }
+                let now = t + SimDuration::from_secs(rng.gen_range(0.0..100.0));
+                match (i / read_every) % 3 {
+                    0 => prop_assert_eq!(table.observed_pairs(), reference.len()),
+                    1 => {
+                        for _ in 0..8 {
+                            let a = NodeId(rng.gen_range(0..nodes));
+                            let b = NodeId(rng.gen_range(0..nodes));
+                            let expected = reference
+                                .get(&(a.min(b), a.max(b)))
+                                .map_or(0.0, |e| e.rate(now));
+                            prop_assert_eq!(
+                                table.rate(a, b, now).to_bits(),
+                                expected.to_bits()
+                            );
+                        }
+                    }
+                    _ => {
+                        // A graph over fewer nodes drops the pairs outside it.
+                        let n = nodes as usize - 2;
+                        let mut graph = ContactGraph::new(n);
+                        for (&(a, b), e) in &reference {
+                            if b.index() < n {
+                                graph.set_rate(a, b, e.rate(now));
+                            }
+                        }
+                        prop_assert_eq!(table.to_graph(n, now), graph);
+                    }
+                }
+            }
+            let now = t;
+            prop_assert_eq!(table.observed_pairs(), reference.len());
+            let mut graph = ContactGraph::new(nodes as usize);
+            for (&(a, b), e) in &reference {
+                graph.set_rate(a, b, e.rate(now));
+            }
+            prop_assert_eq!(table.to_graph(nodes as usize, now), graph);
         }
     }
 }

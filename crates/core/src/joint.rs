@@ -37,6 +37,7 @@
 use omn_caching::policy::PolicyChoice;
 use omn_caching::query::QueryWorkload;
 use omn_caching::{AccessReport, CachingConfig, CachingRun, CachingTimer, Catalog, DataItemId};
+use omn_contacts::estimate::EstimatorKind;
 use omn_contacts::faults::FaultConfig;
 use omn_contacts::{ContactDriver, ContactFate, ContactGraph, ContactTrace, NodeId};
 use omn_sim::metrics::Registry;
@@ -48,8 +49,8 @@ use omn_sim::{
 use crate::oracle::{BandwidthOracle, BudgetOracle};
 use crate::scheme::RefreshScheme;
 use crate::sim::{
-    FreshnessConfig, FreshnessReport, FreshnessRun, FreshnessSimulator, FreshnessTimer,
-    SchemeChoice,
+    FreshnessConfig, FreshnessReport, FreshnessRun, FreshnessSimulator, FreshnessTimer, LaggedObs,
+    SchemeChoice, WorldRates,
 };
 
 /// Delivery class for contact events, shared with both layers' standalone
@@ -128,6 +129,8 @@ enum JointEvent {
     Caching(CachingTimer),
     /// A timer of the `i`-th freshness participant fires.
     Freshness(usize, FreshnessTimer),
+    /// A lagged estimator observation reaches the world's rate table.
+    Sighting(LaggedObs),
     /// The `i`-th contact of the trace starts.
     Contact(usize),
 }
@@ -299,9 +302,18 @@ impl JointSimulator {
         }
         driver.begin(&mut engine, CLASS_CONTACT, JointEvent::Contact);
 
+        // One rate table for the world, read by every participant; with no
+        // participant nothing reads it, so nothing is recorded.
+        let estimator = self
+            .config
+            .freshness
+            .as_ref()
+            .map_or(EstimatorKind::Cumulative, |fc| fc.estimator);
+        let mut rates = WorldRates::new(estimator, &driver);
+
         for (pi, p) in parts.iter_mut().enumerate() {
             p.run
-                .on_start(schemes[pi].as_mut(), driver.plan_mut(), None);
+                .on_start(schemes[pi].as_mut(), rates.table(), driver.plan_mut(), None);
         }
 
         let mut max_contact_used = 0u32;
@@ -319,9 +331,14 @@ impl JointSimulator {
                 }
                 JointEvent::Freshness(pi, FreshnessTimer::Birth(v)) => {
                     let item = parts[pi].item;
-                    parts[pi]
-                        .run
-                        .on_birth(v, now, schemes[pi].as_mut(), driver.plan_mut(), None);
+                    parts[pi].run.on_birth(
+                        v,
+                        now,
+                        schemes[pi].as_mut(),
+                        rates.table(),
+                        driver.plan_mut(),
+                        None,
+                    );
                     // Cache placement observes the birth: copies in caches
                     // are now stale.
                     caching.set_version(item, v);
@@ -339,13 +356,12 @@ impl JointSimulator {
                         lost,
                         now,
                         schemes[pi].as_mut(),
+                        rates.table(),
                         driver.plan_mut(),
                         None,
                     );
                 }
-                JointEvent::Freshness(pi, FreshnessTimer::LaggedObs(a, b, seen)) => {
-                    parts[pi].run.on_lagged_obs(a, b, seen);
-                }
+                JointEvent::Sighting(obs) => rates.on_lagged_obs(obs),
                 JointEvent::Contact(ci) => {
                     driver.advance(ci, &mut engine, CLASS_CONTACT, JointEvent::Contact);
                     let (a, b) = driver.contact(ci).pair();
@@ -355,6 +371,11 @@ impl JointSimulator {
                         ContactFate::Blocked => extras.add("blocked-contacts", 1),
                         ContactFate::Deliverable => {}
                     }
+                    if !parts.is_empty() {
+                        if let Some((due, obs)) = rates.on_contact(a, b, fate, now) {
+                            engine.schedule_at_class(due, obs.class(), JointEvent::Sighting(obs));
+                        }
+                    }
 
                     // Freshness participants always see the contact (they
                     // handle fate themselves — estimator sightings survive
@@ -363,21 +384,16 @@ impl JointSimulator {
                     macro_rules! fresh_layer {
                         ($budget:expr) => {
                             for pi in 0..parts.len() {
-                                if let Some((due, timer)) = parts[pi].run.on_contact(
+                                parts[pi].run.on_contact(
                                     a,
                                     b,
                                     fate,
                                     now,
                                     schemes[pi].as_mut(),
+                                    rates.table(),
                                     driver.plan_mut(),
                                     $budget,
-                                ) {
-                                    engine.schedule_at_class(
-                                        due,
-                                        timer.class(),
-                                        JointEvent::Freshness(pi, timer),
-                                    );
-                                }
+                                );
                             }
                         };
                     }
@@ -504,7 +520,8 @@ impl JointSimulator {
             .map(|(p, scheme)| {
                 (
                     p.item,
-                    p.run.finish(scheme.as_mut(), driver.plan_mut(), None),
+                    p.run
+                        .finish(scheme.as_mut(), rates.table(), driver.plan_mut(), None),
                 )
             })
             .collect();

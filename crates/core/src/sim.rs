@@ -73,16 +73,13 @@ pub enum FreshnessTimer {
     /// A churned-out caching node comes back up; the flag carries whether
     /// the downtime was a crash that wiped the node's state.
     Rejoin(NodeId, bool),
-    /// A delayed estimator observation of a contact seen at the carried
-    /// instant becomes visible.
-    LaggedObs(NodeId, NodeId, SimTime),
 }
 
 impl FreshnessTimer {
     /// The delivery class this timer must be scheduled in, preserving the
     /// same-instant drain order of the standalone simulator (births before
-    /// queries before expiries before rejoins before observations, all
-    /// before contacts).
+    /// queries before expiries before rejoins, all before lagged
+    /// observations and contacts).
     #[must_use]
     pub fn class(&self) -> EventClass {
         match self {
@@ -90,17 +87,102 @@ impl FreshnessTimer {
             FreshnessTimer::Query(_) => CLASS_QUERY,
             FreshnessTimer::Expiry(_) => CLASS_EXPIRY,
             FreshnessTimer::Rejoin(..) => CLASS_REJOIN,
-            FreshnessTimer::LaggedObs(..) => CLASS_OBS,
         }
+    }
+}
+
+/// A contact sighting whose estimator reporting lag has elapsed: the
+/// world's rate table records the contact as seen at `seen`.
+#[derive(Debug, Clone, Copy)]
+pub struct LaggedObs {
+    a: NodeId,
+    b: NodeId,
+    seen: SimTime,
+}
+
+impl LaggedObs {
+    /// The delivery class the observation must be scheduled in: after
+    /// every participant timer, before contacts.
+    #[must_use]
+    pub fn class(&self) -> EventClass {
+        CLASS_OBS
+    }
+}
+
+/// A world's rate estimation: one [`PairRateTable`] that records each
+/// sighted contact once and that every freshness participant of the world
+/// reads.
+///
+/// One table serves all participants exactly. They see the same contact
+/// fates and run the same estimator kind, and every sighting is recorded
+/// before any participant's scheme hook runs for that contact, so each
+/// scheme reads the table a per-participant copy would have held.
+#[derive(Debug)]
+pub struct WorldRates {
+    table: PairRateTable,
+    lag: SimDuration,
+    last_contact_start: Option<SimTime>,
+}
+
+impl WorldRates {
+    /// An empty table of `kind` for the world `driver` drives, with the
+    /// driver's estimator reporting lag.
+    #[must_use]
+    pub fn new<S: ContactSource>(kind: EstimatorKind, driver: &ContactDriver<S>) -> WorldRates {
+        WorldRates {
+            table: PairRateTable::new(kind, SimTime::ZERO),
+            lag: driver.estimator_lag(),
+            last_contact_start: driver.last_contact_start(),
+        }
+    }
+
+    /// The table the participants read.
+    #[must_use]
+    pub fn table(&self) -> &PairRateTable {
+        &self.table
+    }
+
+    /// Sights a contact with the fate the shared driver assigned it. A
+    /// down endpoint has no radio, so a `Down` contact is not sighted;
+    /// any other contact is, even when it is truncated for data.
+    ///
+    /// Returns the lagged observation the driving loop must schedule, if
+    /// the fault plan configures an estimator lag that elapses within the
+    /// contact stream.
+    #[must_use = "a returned lagged observation must be scheduled"]
+    pub fn on_contact(
+        &mut self,
+        a: NodeId,
+        b: NodeId,
+        fate: ContactFate,
+        now: SimTime,
+    ) -> Option<(SimTime, LaggedObs)> {
+        if fate == ContactFate::Down {
+            return None;
+        }
+        if self.lag.is_zero() {
+            self.table.record_contact(a, b, now);
+            return None;
+        }
+        let due = now + self.lag;
+        self.last_contact_start
+            .is_some_and(|last| due <= last)
+            .then_some((due, LaggedObs { a, b, seen: now }))
+    }
+
+    /// Records a sighting whose reporting lag has elapsed.
+    pub fn on_lagged_obs(&mut self, obs: LaggedObs) {
+        self.table.record_contact(obs.a, obs.b, obs.seen);
     }
 }
 
 /// The standalone freshness simulation's event alphabet.
 #[derive(Debug, Clone, Copy)]
 enum FreshnessEvent {
-    /// A participant timer (birth, query, expiry, rejoin, lagged
-    /// observation).
+    /// A participant timer (birth, query, expiry, rejoin).
     Timer(FreshnessTimer),
+    /// A lagged estimator observation becomes visible.
+    Sighting(LaggedObs),
     /// The `i`-th contact of the trace starts.
     Contact(usize),
 }
@@ -609,15 +691,18 @@ impl FreshnessSimulator {
     ) -> (NodeId, Vec<NodeId>, ContactGraph) {
         let n = warmup.node_count();
         let window = cutoff.as_secs().max(f64::MIN_POSITIVE);
-        let mut graph = ContactGraph::new(n);
+        // Count each pair's contacts, then build the rows in key order:
+        // each rate is the same k additions of 1/window from 0.0 that a
+        // contact-by-contact accumulation makes.
+        let mut seen = PairRateTable::new(EstimatorKind::Cumulative, SimTime::ZERO);
         while let Some(c) = warmup.next_contact() {
             if c.start() > cutoff {
                 break;
             }
             let (a, b) = c.pair();
-            let rate = graph.rate(a, b) + 1.0 / window;
-            graph.set_rate(a, b, rate);
+            seen.record_contact(a, b, c.start());
         }
+        let graph = seen.count_graph(n, 1.0 / window);
         let ranked = graph.top_k(Centrality::Degree, n);
         let source = match self.config.source {
             SourceSelection::Node(node) => node,
@@ -652,30 +737,30 @@ impl FreshnessSimulator {
             engine.schedule_at_class(t, timer.class(), FreshnessEvent::Timer(timer));
         }
         driver.begin(&mut engine, CLASS_CONTACT, FreshnessEvent::Contact);
+        let mut rates = WorldRates::new(self.config.estimator, &driver);
 
-        run.on_start(scheme, driver.plan_mut(), None);
+        run.on_start(scheme, rates.table(), driver.plan_mut(), None);
         while let Some(ev) = engine.next_event() {
             match ev.payload {
                 FreshnessEvent::Timer(FreshnessTimer::Birth(v)) => {
-                    run.on_birth(v, ev.time, scheme, driver.plan_mut(), None);
+                    run.on_birth(v, ev.time, scheme, rates.table(), driver.plan_mut(), None);
                 }
                 FreshnessEvent::Timer(FreshnessTimer::Query(i)) => run.on_query(i),
                 FreshnessEvent::Timer(FreshnessTimer::Expiry(i)) => run.on_expiry(i),
                 FreshnessEvent::Timer(FreshnessTimer::Rejoin(n, lost)) => {
-                    run.on_rejoin(n, lost, ev.time, scheme, driver.plan_mut(), None);
+                    let table = rates.table();
+                    run.on_rejoin(n, lost, ev.time, scheme, table, driver.plan_mut(), None);
                 }
-                FreshnessEvent::Timer(FreshnessTimer::LaggedObs(a, b, seen)) => {
-                    run.on_lagged_obs(a, b, seen);
-                }
+                FreshnessEvent::Sighting(obs) => rates.on_lagged_obs(obs),
                 FreshnessEvent::Contact(ci) => {
                     driver.advance(ci, &mut engine, CLASS_CONTACT, FreshnessEvent::Contact);
                     let (a, b) = driver.contact(ci).pair();
                     let fate = driver.fate(ci, ev.time);
-                    if let Some((due, timer)) =
-                        run.on_contact(a, b, fate, ev.time, scheme, driver.plan_mut(), None)
-                    {
-                        engine.schedule_at_class(due, timer.class(), FreshnessEvent::Timer(timer));
+                    if let Some((due, obs)) = rates.on_contact(a, b, fate, ev.time) {
+                        engine.schedule_at_class(due, obs.class(), FreshnessEvent::Sighting(obs));
                     }
+                    let table = rates.table();
+                    run.on_contact(a, b, fate, ev.time, scheme, table, driver.plan_mut(), None);
                 }
             }
         }
@@ -683,7 +768,10 @@ impl FreshnessSimulator {
             contacts_total: driver.contacts_pulled(),
             peak_resident: driver.peak_resident(),
         };
-        (run.finish(scheme, driver.plan_mut(), None), stats)
+        (
+            run.finish(scheme, rates.table(), driver.plan_mut(), None),
+            stats,
+        )
     }
 }
 
@@ -701,8 +789,10 @@ pub struct StreamStats {
 }
 
 /// One freshness participant: the complete per-item state of a freshness
-/// run (member caches, receipts, rate estimators, workload, counters),
-/// with one handler per event class.
+/// run (member caches, receipts, workload, counters), with one handler per
+/// event class. The rate table is world state ([`WorldRates`]): the
+/// driving loop owns it and hands it to every hook that reaches the
+/// scheme.
 ///
 /// Extracted from the standalone simulator loop so that a joint
 /// multi-layer world ([`crate::joint`]) can drive many participants — and
@@ -718,7 +808,6 @@ pub struct FreshnessRun<'a> {
     members: Vec<NodeId>,
     schedule: UpdateSchedule,
     oracle: &'a ContactGraph,
-    rates: PairRateTable,
     rng: StdRng,
     member_versions: FastMap<NodeId, u64>,
     receipts: FastMap<NodeId, Vec<(SimTime, u64)>>,
@@ -738,7 +827,6 @@ pub struct FreshnessRun<'a> {
     pending_recoveries: Vec<(SimTime, NodeId)>,
     recovery_delays: SampleHistogram,
     extras: Registry,
-    estimator_lag: SimDuration,
     last_contact_start: Option<SimTime>,
     span: SimTime,
     fresh_only_serving: bool,
@@ -797,7 +885,6 @@ impl<'a> FreshnessRun<'a> {
         } else {
             UpdateSchedule::periodic(config.refresh_period, span)
         };
-        let estimator_lag = driver.estimator_lag();
         let last_contact_start = driver.last_contact_start();
         let in_contact_range = |t: SimTime| last_contact_start.is_some_and(|last| t <= last);
 
@@ -882,7 +969,6 @@ impl<'a> FreshnessRun<'a> {
             members: members.to_vec(),
             schedule,
             oracle,
-            rates: PairRateTable::new(config.estimator, SimTime::ZERO),
             rng: factory.stream("scheme"),
             transmissions: 0,
             replicas: 0,
@@ -899,7 +985,6 @@ impl<'a> FreshnessRun<'a> {
             pending_recoveries: Vec::new(),
             recovery_delays: SampleHistogram::new(),
             extras: Registry::new(),
-            estimator_lag,
             last_contact_start,
             span,
             fresh_only_serving: config.fresh_only_serving,
@@ -956,6 +1041,7 @@ impl<'a> FreshnessRun<'a> {
     fn ctx<'b>(
         &'b mut self,
         now: SimTime,
+        rates: &'b PairRateTable,
         faults: Option<&'b mut FaultPlan>,
         budget: Option<&'b mut TransferBudget>,
     ) -> SchemeCtx<'b> {
@@ -966,7 +1052,7 @@ impl<'a> FreshnessRun<'a> {
             members: &self.members,
             member_versions: &mut self.member_versions,
             receipts: &mut self.receipts,
-            rates: &self.rates,
+            rates,
             oracle: self.oracle,
             transmissions: &mut self.transmissions,
             replicas: &mut self.replicas,
@@ -981,14 +1067,16 @@ impl<'a> FreshnessRun<'a> {
         }
     }
 
-    /// Delivers the scheme's start hook (once, before any event).
+    /// Delivers the scheme's start hook (once, before any event). Every
+    /// hook that reaches the scheme reads the world's rate table `rates`.
     pub fn on_start(
         &mut self,
         scheme: &mut dyn RefreshScheme,
+        rates: &PairRateTable,
         faults: Option<&mut FaultPlan>,
         budget: Option<&mut TransferBudget>,
     ) {
-        scheme.on_start(&mut self.ctx(SimTime::ZERO, faults, budget));
+        scheme.on_start(&mut self.ctx(SimTime::ZERO, rates, faults, budget));
     }
 
     /// Handles the birth of version `v` at `now`.
@@ -997,6 +1085,7 @@ impl<'a> FreshnessRun<'a> {
         v: u64,
         now: SimTime,
         scheme: &mut dyn RefreshScheme,
+        rates: &PairRateTable,
         faults: Option<&mut FaultPlan>,
         budget: Option<&mut TransferBudget>,
     ) {
@@ -1004,7 +1093,7 @@ impl<'a> FreshnessRun<'a> {
         self.world.advance_to(now);
         self.world.oracle_timer("birth");
         if self.in_contact_range(now) {
-            scheme.on_version_birth(v, &mut self.ctx(now, faults, budget));
+            scheme.on_version_birth(v, &mut self.ctx(now, rates, faults, budget));
         }
         let fresh = self
             .member_versions
@@ -1054,12 +1143,14 @@ impl<'a> FreshnessRun<'a> {
     /// scheme to rebuild the node's protocol state — the oracle world is
     /// notified first, so the monotonicity watermark resets and the
     /// re-absorption of older versions registers as legitimate recovery.
+    #[allow(clippy::too_many_arguments)]
     pub fn on_rejoin(
         &mut self,
         n: NodeId,
         state_loss: bool,
         now: SimTime,
         scheme: &mut dyn RefreshScheme,
+        rates: &PairRateTable,
         faults: Option<&mut FaultPlan>,
         budget: Option<&mut TransferBudget>,
     ) {
@@ -1074,7 +1165,7 @@ impl<'a> FreshnessRun<'a> {
             self.world.oracle_event(&OracleObs::StateLoss {
                 node: u64::from(n.0),
             });
-            scheme.on_state_loss(n, &mut self.ctx(now, faults, budget));
+            scheme.on_state_loss(n, &mut self.ctx(now, rates, faults, budget));
         }
         if self.member_versions.get(&n).copied() == Some(self.current_version) {
             self.recovery_delays.record(0.0);
@@ -1083,19 +1174,11 @@ impl<'a> FreshnessRun<'a> {
         }
     }
 
-    /// Handles an estimator observation whose reporting lag has elapsed.
-    pub fn on_lagged_obs(&mut self, a: NodeId, b: NodeId, seen: SimTime) {
-        self.rates.record_contact(a, b, seen);
-    }
-
     /// Handles a contact between `a` and `b` with the fate the shared
-    /// driver assigned it. Refresh transmissions the scheme makes draw on
-    /// `budget` when one is given (joint worlds); `None` means unlimited
-    /// capacity.
-    ///
-    /// Returns a lagged estimator observation the driving loop must
-    /// schedule, if the fault plan configures an estimator lag.
-    #[must_use = "a returned lagged observation must be scheduled"]
+    /// driver assigned it. The driving loop has already sighted the
+    /// contact on the world's rate table `rates`. Refresh transmissions
+    /// the scheme makes draw on `budget` when one is given (joint worlds);
+    /// `None` means unlimited capacity.
     #[allow(clippy::too_many_arguments)]
     pub fn on_contact(
         &mut self,
@@ -1104,32 +1187,23 @@ impl<'a> FreshnessRun<'a> {
         fate: ContactFate,
         now: SimTime,
         scheme: &mut dyn RefreshScheme,
+        rates: &PairRateTable,
         faults: Option<&mut FaultPlan>,
         budget: Option<&mut TransferBudget>,
-    ) -> Option<(SimTime, FreshnessTimer)> {
-        let mut lagged = None;
-        let mut suppressed = false;
-        if fate == ContactFate::Down {
-            // A down endpoint suppresses the contact entirely: no data
-            // transfer, and no radio sighting for the estimators.
-            self.extras.add("down-contacts", 1);
-            suppressed = true;
-        } else {
-            // Rate estimators sight the contact even when it is truncated
-            // for data, possibly after a reporting lag.
-            if self.estimator_lag.is_zero() {
-                self.rates.record_contact(a, b, now);
-            } else {
-                let due = now + self.estimator_lag;
-                if self.in_contact_range(due) {
-                    lagged = Some((due, FreshnessTimer::LaggedObs(a, b, now)));
-                }
+    ) {
+        // A down endpoint suppresses the contact entirely; a blocked one
+        // still counts as sighted but carries no data.
+        let suppressed = match fate {
+            ContactFate::Down => {
+                self.extras.add("down-contacts", 1);
+                true
             }
-            if fate == ContactFate::Blocked {
+            ContactFate::Blocked => {
                 self.extras.add("blocked-contacts", 1);
-                suppressed = true;
+                true
             }
-        }
+            ContactFate::Deliverable => false,
+        };
         if !suppressed {
             if self.world.has_oracles() {
                 self.world.advance_to(now);
@@ -1138,7 +1212,7 @@ impl<'a> FreshnessRun<'a> {
             // Queued (byte-deferred) refreshes drain first: frames already
             // waiting at either endpoint take link capacity before the
             // scheme makes new decisions for this contact.
-            let mut ctx = self.ctx(now, faults, budget);
+            let mut ctx = self.ctx(now, rates, faults, budget);
             ctx.drain_queued(a, b);
             scheme.on_contact(a, b, &mut ctx);
         }
@@ -1210,7 +1284,6 @@ impl<'a> FreshnessRun<'a> {
                 }
             });
         }
-        lagged
     }
 
     /// Delivers the scheme's finish hook and folds the run into a report.
@@ -1218,11 +1291,12 @@ impl<'a> FreshnessRun<'a> {
     pub fn finish(
         mut self,
         scheme: &mut dyn RefreshScheme,
+        rates: &PairRateTable,
         faults: Option<&mut FaultPlan>,
         budget: Option<&mut TransferBudget>,
     ) -> FreshnessReport {
         let span = self.span;
-        scheme.on_finish(&mut self.ctx(span, faults, budget));
+        scheme.on_finish(&mut self.ctx(span, rates, faults, budget));
         self.world.advance_to(span);
         self.world.oracle_end_of_run();
         let oracle = self.world.take_oracle_report();

@@ -130,10 +130,16 @@ impl Frame {
         let src = NodeId(r.u32("src")?);
         let dst = NodeId(r.u32("dst")?);
         let size = r.u64("size")?;
-        let created = SimTime::from_secs(r.f64("created")?);
+        // Times are validated as they are read: a negative, NaN or
+        // infinite field is a malformed frame, never a panic.
+        let created = SimTime::try_from_secs(r.f64("created")?)
+            .map_err(|_| WireError::Malformed("created time"))?;
         let ttl = match r.u8("ttl flag")? {
             0 => None,
-            1 => Some(SimDuration::from_secs(r.f64("ttl")?)),
+            1 => Some(
+                SimDuration::try_from_secs(r.f64("ttl")?)
+                    .map_err(|_| WireError::Malformed("ttl"))?,
+            ),
             _ => return Err(WireError::Malformed("ttl flag")),
         };
         let payload_len = r.u32("payload length")? as usize;
@@ -146,14 +152,6 @@ impl Frame {
         }
         if size == 0 {
             return Err(WireError::Malformed("zero size"));
-        }
-        if !created.as_secs().is_finite() || created.as_secs() < 0.0 {
-            return Err(WireError::Malformed("created time"));
-        }
-        if let Some(ttl) = ttl {
-            if !ttl.as_secs().is_finite() || ttl.as_secs() < 0.0 {
-                return Err(WireError::Malformed("ttl"));
-            }
         }
         let message = Message::new(id, src, dst, size, created, ttl);
         Ok(Some((Frame { message, payload }, 4 + body_len)))
@@ -288,5 +286,27 @@ mod tests {
             Frame::decode(&bytes),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn bad_times_are_typed_errors() {
+        // `created` sits after 4 (len) + 8 + 4 + 4 + 8 bytes; the ttl
+        // value follows it and the ttl flag byte.
+        let created_at = 4 + 24;
+        let ttl_at = created_at + 8 + 1;
+        for (at, what, bad) in [
+            (created_at, "created time", [-1.0, f64::NAN, f64::INFINITY]),
+            (ttl_at, "ttl", [-1.0, f64::NAN, f64::NEG_INFINITY]),
+        ] {
+            for value in bad {
+                let mut bytes = frame(Some(5.0), b"x").to_bytes();
+                bytes[at..at + 8].copy_from_slice(&value.to_bits().to_le_bytes());
+                assert_eq!(
+                    Frame::decode(&bytes),
+                    Err(WireError::Malformed(what)),
+                    "{what} = {value}"
+                );
+            }
+        }
     }
 }

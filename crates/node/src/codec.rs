@@ -235,4 +235,26 @@ mod tests {
         bytes.push(0);
         assert_eq!(decode(&bytes), Err(CodecError::TrailingBytes));
     }
+
+    #[test]
+    fn bad_times_are_frame_errors() {
+        // A Refresh frame with a ttl, so both time fields are present:
+        // `created` sits at byte 28, the ttl value at byte 37.
+        let payload = encode_payload(&ProtocolMsg::Refresh { version: 1 });
+        let ttl = Some(omn_sim::SimDuration::from_secs(5.0));
+        let message = Message::new(MessageId(1), n(1), n(2), 9, SimTime::ZERO, ttl);
+        let good = Frame::new(message, payload).to_bytes();
+        assert!(decode(&good).is_ok());
+        for (at, what) in [(28, "created time"), (37, "ttl")] {
+            for bad in [-1.0, f64::NAN, f64::INFINITY] {
+                let mut bytes = good.clone();
+                bytes[at..at + 8].copy_from_slice(&f64::to_bits(bad).to_le_bytes());
+                assert_eq!(
+                    decode(&bytes),
+                    Err(CodecError::Frame(WireError::Malformed(what))),
+                    "{what} = {bad}"
+                );
+            }
+        }
+    }
 }
